@@ -20,7 +20,6 @@ from .midpoint import (
     MidpointRecord,
     PrimePair,
     compute_record,
-    count_odd_multiples,
     make_pair,
 )
 from .primes import (
@@ -30,7 +29,6 @@ from .primes import (
     iter_primes,
     next_prime_above,
     sieve_range,
-    stream_consecutive_pairs,
 )
 from .scan import (
     ClaimCounter,
@@ -71,7 +69,6 @@ __all__ = [
     "check_lemma_sqrt",
     "check_theorem",
     "compute_record",
-    "count_odd_multiples",
     "is_prime",
     "iter_consecutive_pairs",
     "iter_primes",
@@ -84,5 +81,4 @@ __all__ = [
     "save_checkpoint",
     "scan_chunk",
     "sieve_range",
-    "stream_consecutive_pairs",
 ]

@@ -12,7 +12,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from typing import Sequence
 
@@ -37,7 +36,7 @@ from .errors import (
 )
 from .midpoint import compute_record, make_pair
 from .primes import UNIVERSE_LIMIT, is_prime, next_prime_above
-from .scan import ScanConfig, ScanReport, run_scan
+from .scan import ScanConfig, ScanReport, default_workers, run_scan
 
 EXIT_OK = 0
 EXIT_FINDING = 1
@@ -154,11 +153,10 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         start=args.start,
         stop=args.stop,
         chunk_size=args.chunk_size,
-        workers=args.jobs if args.jobs > 0 else _default_jobs(),
+        workers=args.jobs if args.jobs > 0 else default_workers(),
         claims=_parse_claims(args.claims),
         violation_cap=args.violation_cap,
         checkpoint_path=args.checkpoint,
-        output_format=args.format,
     )
     config.validate()
     report = run_scan(config, progress=_progress)
@@ -167,10 +165,6 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     else:
         _emit(_report_csv(report), args.out)
     return EXIT_FINDING if report.total_failed() > 0 else EXIT_OK
-
-
-def _default_jobs() -> int:
-    return os.cpu_count() or 1
 
 
 def _outcome_json(outcome: ClaimOutcome) -> dict:
@@ -287,7 +281,6 @@ def _cmd_records(args: argparse.Namespace) -> int:
         start=2,
         stop=args.stop,
         claims=frozenset(),
-        workers=_default_jobs(),
     )
     config.validate()
     report = run_scan(config, progress=_progress)

@@ -20,10 +20,6 @@ from .errors import (
 )
 from .primes import is_prime
 
-# Enumeration is the oracle mode; above this span/divisor ratio the closed
-# form is used instead.
-_ENUMERATION_SPAN = 10**7
-
 
 @dataclass(frozen=True)
 class PrimePair:
@@ -82,8 +78,7 @@ def compute_record(pair: PrimePair) -> MidpointRecord:
     """Compute the full record for a validated pair with p >= 3.
 
     The odd-multiple counts use the closed forms c_lo = b**2 // (2p) and
-    c_hi = b**2 // (2q); `count_odd_multiples` is the enumeration oracle
-    they are checked against.
+    c_hi = b**2 // (2q); the tests check them against direct enumeration.
     """
     p, q, g, m, b = pair.p, pair.q, pair.g, pair.m, pair.b
     if p < 3:
@@ -107,29 +102,3 @@ def compute_record(pair: PrimePair) -> MidpointRecord:
         x_hi=(m2 - q) % two_q,
         delta=beta * q - alpha * p,
     )
-
-
-def count_odd_multiples(d: int, lo: int, hi: int) -> int:
-    """Count integers k*d with k odd and lo < k*d <= hi, exactly.
-
-    Enumerates when the span is small enough to serve as an oracle
-    (hi - lo <= 10**7 * d), otherwise uses floor arithmetic; the two agree
-    wherever both apply.
-    """
-    if d < 3 or d % 2 == 0:
-        raise ValueError(f"divisor must be odd and >= 3, got {d}")
-    if lo >= hi:
-        raise InvalidRangeError(f"empty or reversed interval ({lo}, {hi}]")
-    if hi - lo <= _ENUMERATION_SPAN * d:
-        k = lo // d + 1
-        if k % 2 == 0:
-            k += 1
-        count = 0
-        value = k * d
-        step = 2 * d
-        while value <= hi:
-            count += 1
-            value += step
-        return count
-    # Number of odd k with k*d <= x is (x//d + 1) // 2.
-    return (hi // d + 1) // 2 - (lo // d + 1) // 2

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .errors import InvalidRangeError, RangeTooLargeError
 
@@ -44,15 +44,6 @@ class PrimeSegment:
 
     def count(self) -> int:
         return self.flags.count(1)
-
-    def primes(self) -> Iterator[int]:
-        """Yield the primes of the segment in increasing order."""
-        flags = self.flags
-        lo = self.lo
-        idx = flags.find(1)
-        while idx >= 0:
-            yield lo + idx
-            idx = flags.find(1, idx + 1)
 
 
 _small_primes_cache: list[int] = []
@@ -195,17 +186,3 @@ def iter_consecutive_pairs(
         prev = p
     if prev is not None:
         yield prev, next_prime_above(prev)
-
-
-def stream_consecutive_pairs(
-    lo: int, hi: int, emit: Callable[[int, int], object]
-) -> int:
-    """Feed every consecutive pair with lo <= p < hi to `emit(p, q)`.
-
-    Returns the number of pairs emitted.
-    """
-    count = 0
-    for p, q in iter_consecutive_pairs(lo, hi):
-        emit(p, q)
-        count += 1
-    return count

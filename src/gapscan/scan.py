@@ -29,7 +29,7 @@ from .errors import (
     InvalidRangeError,
     OverlappingRangesError,
 )
-from .midpoint import MidpointRecord, PrimePair
+from .midpoint import PrimePair, compute_record
 from .primes import UNIVERSE_LIMIT, iter_consecutive_pairs
 
 DEFAULT_CHUNK_SIZE = 1 << 24
@@ -37,12 +37,12 @@ MIN_CHUNK_SIZE = 1 << 10
 DEFAULT_VIOLATION_CAP = 100
 CHECKPOINT_VERSION = 1
 
-# Test hook: set to a claim name to force a FAIL on the first pair of each
-# chunk (IDENTITIES escalates to the internal-error abort path).
-INJECT_ENV_VAR = "GAPSCAN_INJECT_FAIL"
 
-
-def _available_workers() -> int:
+def default_workers() -> int:
+    """Worker count for a scan: the CPUs this process may run on where the
+    platform reports its affinity, else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -53,11 +53,10 @@ class ScanConfig:
     start: int
     stop: int
     chunk_size: int = DEFAULT_CHUNK_SIZE
-    workers: int = field(default_factory=_available_workers)
+    workers: int = field(default_factory=default_workers)
     claims: frozenset[ClaimId] = frozenset(PAIR_CLAIMS)
     violation_cap: int = DEFAULT_VIOLATION_CAP
     checkpoint_path: str | None = None
-    output_format: str = "json"
 
     def validate(self) -> None:
         if self.start < 2:
@@ -76,8 +75,6 @@ class ScanConfig:
         if bad:
             names = ", ".join(sorted(c.value for c in bad))
             raise ValueError(f"not a per-pair claim: {names}")
-        if self.output_format not in ("json", "csv"):
-            raise ValueError(f"unknown output format {self.output_format!r}")
 
     def digest(self) -> str:
         """Hex digest over the fields that determine the report."""
@@ -290,41 +287,12 @@ def _icbrt(n: int) -> int:
     return x
 
 
-def _injected_claim() -> ClaimId | None:
-    name = os.environ.get(INJECT_ENV_VAR)
-    if not name:
-        return None
-    try:
-        return ClaimId(name.strip().upper())
-    except ValueError:
-        raise ValueError(f"{INJECT_ENV_VAR} names no claim: {name!r}")
-
-
 def _identity_abort(p: int, q: int) -> IdentityCheckError:
     # Recompute through the record path so the error carries the first
     # violated equation's sides.
     g = q - p
-    b = g // 2
-    pair = PrimePair(p=p, q=q, g=g, m=p + b, b=b)
-    m2 = pair.m * pair.m
-    two_p = 2 * p
-    two_q = 2 * q
-    c_lo = (b * b) // two_p
-    c_hi = (b * b) // two_q
-    alpha = q + 2 * c_lo
-    beta = p + 2 * c_hi
-    record = MidpointRecord(
-        pair=pair,
-        m2=m2,
-        alpha_mult=alpha,
-        beta_mult=beta,
-        c_lo=c_lo,
-        c_hi=c_hi,
-        x_lo=(m2 - p) % two_p,
-        x_hi=(m2 - q) % two_q,
-        delta=beta * q - alpha * p,
-    )
-    outcome = check_identities(record)
+    pair = PrimePair(p=p, q=q, g=g, m=p + g // 2, b=g // 2)
+    outcome = check_identities(compute_record(pair))
     return IdentityCheckError(
         f"identity failed at pair ({p}, {q}): lhs={outcome.lhs} rhs={outcome.rhs}"
     )
@@ -345,7 +313,6 @@ def scan_chunk(
     if lo >= hi:
         raise InvalidRangeError(f"empty or reversed chunk [{lo}, {hi})")
     enabled = frozenset(PAIR_CLAIMS) if claims is None else frozenset(claims)
-    inject = _injected_claim()
 
     do_ident = ClaimId.IDENTITIES in enabled
     do_order = ClaimId.LEMMA_ORDER in enabled
@@ -377,7 +344,6 @@ def scan_chunk(
         if len(violations) < violation_cap:
             violations.append(ClaimOutcome(claim, p, Status.FAIL, lhs, rhs))
 
-    inject_pending = inject is not None
     for p, q in iter_consecutive_pairs(lo, hi):
         pairs += 1
         g = q - p
@@ -404,20 +370,11 @@ def scan_chunk(
                     bar_valid_until = p << 2
 
         if p == 2:
-            # Fault injection targets the first pair its claim applies to;
-            # only the cubed gap bound applies here.
-            injected = None
-            if inject_pending and inject is ClaimId.THEOREM_CUBE_BOUND:
-                injected = inject
-                inject_pending = False
             if do_theorem:
                 theorem_checked += 1
-                if injected is ClaimId.THEOREM_CUBE_BOUND or g * g * g >= 16 * p * p:
+                if g * g * g >= 16 * p * p:
                     fail(ClaimId.THEOREM_CUBE_BOUND, p, g * g * g, 16 * p * p)
             continue
-
-        injected = inject if inject_pending else None
-        inject_pending = False
 
         mid_pairs += 1
         b = g >> 1
@@ -443,42 +400,36 @@ def scan_chunk(
 
         if do_ident:
             if (
-                injected is ClaimId.IDENTITIES
-                or m2 - p * q != b2
+                m2 - p * q != b2
                 or ap != m2 - x_lo
                 or bq != m2 - x_hi
                 or delta != x_lo - x_hi
             ):
-                if injected is ClaimId.IDENTITIES:
-                    raise IdentityCheckError(
-                        f"injected identity failure at pair ({p}, {q})"
-                    )
                 raise _identity_abort(p, q)
-        if do_order and (c_hi > c_lo or injected is ClaimId.LEMMA_ORDER):
+        if do_order and c_hi > c_lo:
             fail(ClaimId.LEMMA_ORDER, p, c_hi, c_lo)
-        if do_bound and (delta >= two_p or injected is ClaimId.COR_BOUND):
+        if do_bound and delta >= two_p:
             fail(ClaimId.COR_BOUND, p, delta, two_p)
         if do_product:
             rhs = (c_lo * g) << 1
-            if delta != rhs or injected is ClaimId.COR_PRODUCT:
+            if delta != rhs:
                 fail(ClaimId.COR_PRODUCT, p, delta, rhs)
             elif rhs == 0:
                 vacuous_product += 1
         if do_ratio:
             lhs = c_lo * g
-            if lhs >= p or injected is ClaimId.LEMMA_RATIO:
+            if lhs >= p:
                 fail(ClaimId.LEMMA_RATIO, p, lhs, p)
         if do_sqrt:
             rhs = (p << 3) * (c_lo + 1)
-            if g * g >= rhs or injected is ClaimId.LEMMA_SQRT:
+            if g * g >= rhs:
                 fail(ClaimId.LEMMA_SQRT, p, g * g, rhs)
         if do_theorem:
             theorem_checked += 1
             # g < 256 and p > 1024 give g**3 <= 255**3 < 16*1024**2 < 16*p**2;
             # everything else takes the exact products.
-            if g >= 256 or p <= 1024 or injected is ClaimId.THEOREM_CUBE_BOUND:
-                if injected is ClaimId.THEOREM_CUBE_BOUND or g * g * g >= 16 * p * p:
-                    fail(ClaimId.THEOREM_CUBE_BOUND, p, g * g * g, 16 * p * p)
+            if (g >= 256 or p <= 1024) and g * g * g >= 16 * p * p:
+                fail(ClaimId.THEOREM_CUBE_BOUND, p, g * g * g, 16 * p * p)
 
     if hist_zero:
         hist[0] = hist_zero

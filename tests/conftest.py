@@ -1,13 +1,26 @@
-"""Shared test oracles, implemented independently of the package code.
+"""Shared test oracles and fixtures, implemented independently of the
+package code.
 
 The sieve here uses an odd-only bitmap (the package sieves full byte
 ranges), and primality falls back to trial division, so agreement between
-the two sides is meaningful.
+the two sides is meaningful.  The `crafted_pairs` fixture feeds chosen
+non-genuine pairs to the scan loop, which is how the failure and exit-code
+paths are reached: genuine consecutive primes never fail a claim.
 """
 
 from __future__ import annotations
 
-from math import isqrt
+from typing import Callable, Iterator
+
+import pytest
+
+import gapscan.scan
+from gapscan.errors import InvalidRangeError
+from gapscan.primes import PrimeSegment, iter_consecutive_pairs
+
+# count_odd_multiples enumerates while the span is at most this many times
+# the divisor, and uses the closed form beyond it.
+_ENUMERATION_SPAN = 10**7
 
 
 def trial_division_is_prime(n: int) -> bool:
@@ -87,3 +100,75 @@ def oracle_largest_odd_multiple(d: int, bound: int) -> int:
     if k % 2 == 0:
         k -= 1
     return k * d
+
+
+def count_odd_multiples(d: int, lo: int, hi: int) -> int:
+    """Count integers k*d with k odd and lo < k*d <= hi, exactly.
+
+    Enumerates when the span is small enough to serve as an oracle
+    (hi - lo <= 10**7 * d), otherwise uses floor arithmetic; the two agree
+    wherever both apply.
+    """
+    if d < 3 or d % 2 == 0:
+        raise ValueError(f"divisor must be odd and >= 3, got {d}")
+    if lo >= hi:
+        raise InvalidRangeError(f"empty or reversed interval ({lo}, {hi}]")
+    if hi - lo <= _ENUMERATION_SPAN * d:
+        k = lo // d + 1
+        if k % 2 == 0:
+            k += 1
+        count = 0
+        value = k * d
+        step = 2 * d
+        while value <= hi:
+            count += 1
+            value += step
+        return count
+    # Number of odd k with k*d <= x is (x//d + 1) // 2.
+    return (hi // d + 1) // 2 - (lo // d + 1) // 2
+
+
+def flagged_primes(segment: PrimeSegment) -> Iterator[int]:
+    """Yield the primes flagged in a sieved segment, in increasing order."""
+    flags = segment.flags
+    idx = flags.find(1)
+    while idx >= 0:
+        yield segment.lo + idx
+        idx = flags.find(1, idx + 1)
+
+
+def stream_consecutive_pairs(
+    lo: int, hi: int, emit: Callable[[int, int], object]
+) -> int:
+    """Feed every consecutive pair with lo <= p < hi to `emit(p, q)`.
+
+    Returns the number of pairs emitted.
+    """
+    count = 0
+    for p, q in iter_consecutive_pairs(lo, hi):
+        emit(p, q)
+        count += 1
+    return count
+
+
+@pytest.fixture
+def crafted_pairs(monkeypatch):
+    """Make `scan_chunk` see chosen (p, q) pairs ahead of its range's
+    genuine pairs.
+
+    Returns `feed(*pairs)`.  After `feed((3, 9))`, every scan_chunk call
+    first evaluates the pair (3, 9), then the consecutive pairs it owns, so
+    the loop's real failure branches run and record real lhs/rhs values.
+    Each call to `feed` replaces the pairs fed before.  The patch is seen by
+    scans in this process; pool workers only see it when they are forked.
+    """
+    genuine = gapscan.scan.iter_consecutive_pairs
+
+    def feed(*pairs: tuple[int, int]) -> None:
+        def pairs_with_crafted(lo, hi, *args, **kwargs):
+            yield from pairs
+            yield from genuine(lo, hi, *args, **kwargs)
+
+        monkeypatch.setattr(gapscan.scan, "iter_consecutive_pairs", pairs_with_crafted)
+
+    return feed

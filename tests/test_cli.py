@@ -179,14 +179,20 @@ class TestScanCommand:
         code, _, _ = invoke(capsys, "scan", "--frum", "2", "--to", "100")
         assert code == 2
 
+    def test_unknown_format_is_usage_error(self, capsys):
+        code, _, _ = invoke(
+            capsys, "scan", "--from", "2", "--to", "100", "--format", "xml"
+        )
+        assert code == 2
+
     def test_unknown_subcommand_is_usage_error(self, capsys):
         code, _, _ = invoke(capsys, "frobnicate")
         assert code == 2
 
 
 class TestExitCodeFidelity:
-    def test_injected_product_failure_exits_one(self, capsys, monkeypatch):
-        monkeypatch.setenv("GAPSCAN_INJECT_FAIL", "COR_PRODUCT")
+    def test_injected_product_failure_exits_one(self, capsys, crafted_pairs):
+        crafted_pairs((3, 9))
         code, out, _ = invoke(
             capsys, "scan", "--from", "2", "--to", "1000", "--jobs", "1"
         )
@@ -194,13 +200,14 @@ class TestExitCodeFidelity:
         document = json.loads(out)
         assert document["per_claim"]["COR_PRODUCT"]["failed"] == "1"
 
-    def test_injected_identity_failure_exits_three(self, capsys, monkeypatch):
-        monkeypatch.setenv("GAPSCAN_INJECT_FAIL", "IDENTITIES")
+    def test_injected_identity_failure_exits_three(self, capsys, crafted_pairs):
+        crafted_pairs((3, 4))
         code, _, err = invoke(
             capsys, "scan", "--from", "2", "--to", "1000", "--jobs", "1"
         )
         assert code == 3
         assert "internal error" in err
+        assert "lhs=-3 rhs=0" in err
 
     def test_corrupt_checkpoint_exits_three(self, capsys, tmp_path):
         ckpt = tmp_path / "scan.ckpt"

@@ -14,12 +14,11 @@ from gapscan.midpoint import (
     MidpointRecord,
     PrimePair,
     compute_record,
-    count_odd_multiples,
     make_pair,
 )
 from gapscan.primes import iter_consecutive_pairs, next_prime_above
 
-from conftest import oracle_largest_odd_multiple
+from conftest import count_odd_multiples, oracle_largest_odd_multiple
 
 
 def record_by_enumeration(p: int, q: int) -> MidpointRecord:

@@ -13,18 +13,19 @@ from gapscan.primes import (
     iter_consecutive_pairs,
     next_prime_above,
     sieve_range,
-    stream_consecutive_pairs,
 )
 
 from conftest import (
+    flagged_primes,
     oracle_count_primes_below,
+    stream_consecutive_pairs,
     trial_division_is_prime,
     trial_division_primes,
 )
 
 
 def segment_primes(lo: int, hi: int) -> list[int]:
-    return list(sieve_range(lo, hi).primes())
+    return list(flagged_primes(sieve_range(lo, hi)))
 
 
 class TestSieveRange:

@@ -1,15 +1,17 @@
 from __future__ import annotations
 
 import json
+import os
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from gapscan.claims import (
     PAIR_CLAIMS,
     ClaimId,
+    ClaimOutcome,
     Status,
     check_cor_bound,
     check_cor_product,
@@ -29,6 +31,7 @@ from gapscan.midpoint import PrimePair, compute_record
 from gapscan.primes import iter_consecutive_pairs
 from gapscan.scan import (
     CheckpointState,
+    ClaimCounter,
     ScanConfig,
     ScanReport,
     load_checkpoint,
@@ -36,14 +39,36 @@ from gapscan.scan import (
     plan_chunks,
     run_scan,
     save_checkpoint,
+    default_workers,
     scan_chunk,
 )
 
 from conftest import oracle_gap_records, oracle_primes_below
 
+# No prime lies in [90, 96), so a scan of it sees only the crafted pairs.
+PRIMELESS = (90, 96)
+
 
 def full_scan(lo: int, hi: int, **kwargs) -> ScanReport:
     return scan_chunk(lo, hi, **kwargs)
+
+
+def record_path_outcomes(p: int, q: int) -> list[ClaimOutcome]:
+    """Every applicable per-pair check, one record at a time, in
+    PAIR_CLAIMS order."""
+    g = q - p
+    if p == 2:
+        return [check_theorem(p, g)]
+    r = compute_record(PrimePair(p=p, q=q, g=g, m=p + g // 2, b=g // 2))
+    return [
+        check_identities(r),
+        check_lemma_order(r),
+        check_cor_bound(r),
+        check_cor_product(r),
+        check_lemma_ratio(r),
+        check_lemma_sqrt(r),
+        check_theorem(p, g),
+    ]
 
 
 class TestPlanChunks:
@@ -114,22 +139,7 @@ class TestScanChunk:
         report = full_scan(lo, hi)
         expected = {claim: [0, 0, 0] for claim in PAIR_CLAIMS}  # pass/vac/fail
         for p, q in iter_consecutive_pairs(lo, hi):
-            if p == 2:
-                outcomes = [check_theorem(p, q - p)]
-            else:
-                r = compute_record(
-                    PrimePair(p=p, q=q, g=q - p, m=(p + q) // 2, b=(q - p) // 2)
-                )
-                outcomes = [
-                    check_identities(r),
-                    check_lemma_order(r),
-                    check_cor_bound(r),
-                    check_cor_product(r),
-                    check_lemma_ratio(r),
-                    check_lemma_sqrt(r),
-                    check_theorem(p, q - p),
-                ]
-            for outcome in outcomes:
+            for outcome in record_path_outcomes(p, q):
                 slot = expected[outcome.claim]
                 if outcome.status is Status.PASS:
                     slot[0] += 1
@@ -172,29 +182,102 @@ class TestScanChunk:
 
 
 class TestInjection:
-    def test_forced_product_failure(self, monkeypatch):
-        monkeypatch.setenv("GAPSCAN_INJECT_FAIL", "COR_PRODUCT")
+    """Failure paths, reached by feeding crafted non-genuine pairs."""
+
+    def test_forced_product_failure(self, crafted_pairs):
+        crafted_pairs((3, 9))
         report = full_scan(2, 100)
         counter = report.per_claim[ClaimId.COR_PRODUCT]
         assert counter.failed == 1
+        assert counter.checked == 25
         assert counter.checked == counter.passed + counter.vacuous + counter.failed
-        assert any(
-            v.claim is ClaimId.COR_PRODUCT and v.status is Status.FAIL
-            for v in report.violations
+        assert ClaimOutcome(ClaimId.COR_PRODUCT, 3, Status.FAIL, -6, 12) in (
+            report.violations
         )
-        # untouched claims stay clean
+        # claims the crafted pair satisfies stay clean
         assert report.per_claim[ClaimId.LEMMA_SQRT].failed == 0
 
-    def test_forced_identity_failure_aborts(self, monkeypatch):
-        monkeypatch.setenv("GAPSCAN_INJECT_FAIL", "IDENTITIES")
-        with pytest.raises(IdentityCheckError):
+    def test_forced_identity_failure_aborts(self, crafted_pairs):
+        crafted_pairs((3, 4))
+        with pytest.raises(
+            IdentityCheckError, match=r"pair \(3, 4\): lhs=-3 rhs=0$"
+        ):
             full_scan(2, 100)
 
-    def test_violation_cap_zero_keeps_counters(self, monkeypatch):
-        monkeypatch.setenv("GAPSCAN_INJECT_FAIL", "LEMMA_ORDER")
+    def test_violation_cap_zero_keeps_counters(self, crafted_pairs):
+        crafted_pairs((5, 1))
         report = full_scan(3, 100, violation_cap=0)
         assert report.per_claim[ClaimId.LEMMA_ORDER].failed == 1
         assert report.violations == []
+
+    @pytest.mark.parametrize(
+        "pair, claims, claim",
+        [
+            ((5, 1), None, ClaimId.LEMMA_ORDER),
+            ((3, -59), None, ClaimId.COR_BOUND),
+            ((3, 9), None, ClaimId.COR_PRODUCT),
+            ((3, 9), None, ClaimId.LEMMA_RATIO),
+            ((3, 9), None, ClaimId.THEOREM_CUBE_BOUND),
+            ((3, 8), {ClaimId.LEMMA_SQRT}, ClaimId.LEMMA_SQRT),
+            ((2, 9), None, ClaimId.THEOREM_CUBE_BOUND),
+        ],
+    )
+    def test_crafted_pair_reaches_failure_branch(
+        self, crafted_pairs, pair, claims, claim
+    ):
+        crafted_pairs(pair)
+        report = full_scan(*PRIMELESS, claims=claims)
+        (expected,) = [o for o in record_path_outcomes(*pair) if o.claim is claim]
+        assert expected.status is Status.FAIL
+        assert report.per_claim[claim].failed == 1
+        assert [v for v in report.violations if v.claim is claim] == [expected]
+
+    @given(
+        p=st.just(2) | st.integers(min_value=3, max_value=10**12),
+        g=st.integers(min_value=-(10**4), max_value=10**4)
+        | st.integers(min_value=-(10**13), max_value=10**13),
+        claims=st.just(frozenset(PAIR_CLAIMS))
+        | st.frozensets(st.sampled_from(PAIR_CLAIMS)),
+    )
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_crafted_pair_matches_record_path(self, crafted_pairs, p, g, claims):
+        # The fused loop against the one-record-at-a-time checkers on data
+        # that fails; each example replaces the fed pair.  Claim subsets
+        # matter: an odd gap aborts on IDENTITIES before LEMMA_SQRT can fail.
+        q = p + g
+        assume(g != 0 and q != 0)
+        crafted_pairs((p, q))
+        outcomes = [o for o in record_path_outcomes(p, q) if o.claim in claims]
+        broken = [
+            o for o in outcomes
+            if o.claim is ClaimId.IDENTITIES and o.status is Status.FAIL
+        ]
+        if broken:
+            with pytest.raises(
+                IdentityCheckError, match=f"lhs={broken[0].lhs} rhs={broken[0].rhs}$"
+            ):
+                full_scan(*PRIMELESS, claims=claims)
+            return
+        report = full_scan(*PRIMELESS, claims=claims)
+        expected = {claim: ClaimCounter() for claim in claims}
+        for o in outcomes:
+            expected[o.claim] = ClaimCounter(
+                checked=1,
+                passed=int(o.status is Status.PASS),
+                vacuous=int(o.status is Status.VACUOUS_PASS),
+                failed=int(o.status is Status.FAIL),
+            )
+        assert report.pairs_checked == 1
+        assert report.per_claim == expected
+        assert [(v.claim, v.pair_p, v.lhs, v.rhs) for v in report.violations] == [
+            (o.claim, o.pair_p, o.lhs, o.rhs)
+            for o in outcomes
+            if o.status is Status.FAIL
+        ]
 
 
 class TestMergeReports:
@@ -256,9 +339,10 @@ class TestReportSerialization:
         report = full_scan(2, 10**4)
         assert ScanReport.from_json_dict(report.to_json_dict()) == report
 
-    def test_round_trip_with_violations(self, monkeypatch):
-        monkeypatch.setenv("GAPSCAN_INJECT_FAIL", "LEMMA_SQRT")
+    def test_round_trip_with_violations(self, crafted_pairs):
+        crafted_pairs((3, 9), (5, 1), (3, -59))
         report = full_scan(2, 1000)
+        assert len(report.violations) == 7
         assert ScanReport.from_json_dict(report.to_json_dict()) == report
 
     def test_integers_serialized_as_decimal_strings(self):
@@ -371,3 +455,8 @@ class TestScanConfigValidation:
     def test_rejects_universe_escape(self):
         with pytest.raises(ValueError):
             ScanConfig(start=2, stop=(1 << 63) + 1).validate()
+
+    def test_default_workers_follow_affinity(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert default_workers() == 1
+        assert ScanConfig(start=2, stop=100).workers == 1
