@@ -3,7 +3,8 @@
 Reports go to stdout (or --out); progress and diagnostics go to stderr.
 Exit codes: 0 all checks passed (vacuous included), 1 a claim FAILed on
 genuine data (a mathematical finding), 2 usage or configuration error,
-3 internal error (identity failure, corrupt checkpoint).
+3 internal or disk error (identity failure, corrupt checkpoint, a report or
+checkpoint file that cannot be read or written).
 """
 
 from __future__ import annotations
@@ -13,12 +14,11 @@ import csv
 import io
 import json
 import sys
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .claims import (
     PAIR_CLAIMS,
     ClaimId,
-    ClaimOutcome,
     Status,
     check_cor_bound,
     check_cor_product,
@@ -29,6 +29,7 @@ from .claims import (
     check_lemma_sqrt,
     check_theorem,
 )
+from .codec import to_json
 from .errors import (
     CheckpointCorruptError,
     CheckpointMismatchError,
@@ -117,30 +118,27 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(text: str, out_path: str | None) -> None:
+    if not text.endswith("\n"):
+        text += "\n"
     if out_path is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
+
+
+def _csv(*rows: Iterable) -> str:
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
 
 
 def _report_csv(report: ScanReport) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(("claim", "checked", "passed", "vacuous", "failed"))
-    for claim in PAIR_CLAIMS:
-        counter = report.per_claim.get(claim)
-        if counter is None:
-            continue
-        writer.writerow(
-            (claim.value, counter.checked, counter.passed, counter.vacuous,
-             counter.failed)
-        )
-    return buf.getvalue()
+    return _csv(
+        ("claim", "checked", "passed", "vacuous", "failed"),
+        *([claim, *counter.values()]
+          for claim, counter in to_json(report.per_claim).items()),
+    )
 
 
 def _progress(done: int, total: int, chunk: tuple[int, int]) -> None:
@@ -167,16 +165,6 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     return EXIT_FINDING if report.total_failed() > 0 else EXIT_OK
 
 
-def _outcome_json(outcome: ClaimOutcome) -> dict:
-    return {
-        "claim": outcome.claim.value,
-        "pair_p": str(outcome.pair_p),
-        "status": outcome.status.value,
-        "lhs": str(outcome.lhs),
-        "rhs": str(outcome.rhs),
-    }
-
-
 def _cmd_pair(args: argparse.Namespace) -> int:
     lower = args.lower_bound
     if lower > UNIVERSE_LIMIT:
@@ -187,9 +175,8 @@ def _cmd_pair(args: argparse.Namespace) -> int:
     if p == 2:
         # No integral midpoint for (2, 3): only the cubed gap bound applies.
         outcomes = [check_theorem(p, q - p)]
-        pair_fields = {"p": str(p), "q": str(q), "g": str(q - p)}
+        pair_json = {"p": to_json(p), "q": to_json(q), "g": to_json(q - p)}
         record_json = None
-        record_row = [str(p), str(q), str(q - p)] + [""] * 10
     else:
         pair = make_pair(p, q)
         record = compute_record(pair)
@@ -202,44 +189,26 @@ def _cmd_pair(args: argparse.Namespace) -> int:
             check_lemma_sqrt(record),
             check_theorem(pair.p, pair.g),
         ]
-        pair_fields = {
-            "p": str(pair.p), "q": str(pair.q), "g": str(pair.g),
-            "m": str(pair.m), "b": str(pair.b),
-        }
-        record_json = {
-            "m2": str(record.m2),
-            "x_lo": str(record.x_lo),
-            "x_hi": str(record.x_hi),
-            "c_lo": str(record.c_lo),
-            "c_hi": str(record.c_hi),
-            "alpha_mult": str(record.alpha_mult),
-            "beta_mult": str(record.beta_mult),
-            "delta": str(record.delta),
-        }
-        record_row = [
-            str(pair.p), str(pair.q), str(pair.g), str(pair.m), str(pair.b),
-            str(record.m2), str(record.x_lo), str(record.x_hi),
-            str(record.c_lo), str(record.c_hi), str(record.alpha_mult),
-            str(record.beta_mult), str(record.delta),
-        ]
+        pair_json = to_json(pair)
+        record_json = to_json(record)
+        del record_json["pair"]
 
     if args.format == "json":
         document = {
-            "pair": pair_fields,
+            "pair": pair_json,
             "record": record_json,
-            "claims": [_outcome_json(o) for o in outcomes],
+            "claims": to_json(outcomes),
         }
         _emit(json.dumps(document, indent=2), None)
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(RECORD_COLUMNS)
-        writer.writerow(record_row)
-        writer.writerow(())
-        writer.writerow(("claim", "pair_p", "status", "lhs", "rhs"))
-        for o in outcomes:
-            writer.writerow((o.claim.value, o.pair_p, o.status.value, o.lhs, o.rhs))
-        _emit(buf.getvalue(), None)
+        row = [*pair_json.values(), *(record_json or {}).values()]
+        _emit(_csv(
+            RECORD_COLUMNS,
+            row + [""] * (len(RECORD_COLUMNS) - len(row)),
+            (),
+            ("claim", "pair_p", "status", "lhs", "rhs"),
+            *(o.values() for o in to_json(outcomes)),
+        ), None)
 
     failed = [o for o in outcomes if o.status is Status.FAIL]
     if any(o.claim is ClaimId.IDENTITIES for o in failed):
@@ -252,26 +221,13 @@ def _cmd_cubes(args: argparse.Namespace) -> int:
         raise ValueError("--max-n must be >= 1")
     results = [check_cube_interval(n) for n in range(1, args.max_n + 1)]
     if args.format == "json":
-        document = {
-            "max_n": str(args.max_n),
-            "results": [
-                {
-                    "n": str(r.n),
-                    "count": str(r.count),
-                    "witness": str(r.witness),
-                    "status": r.status.value,
-                }
-                for r in results
-            ],
-        }
+        document = {"max_n": to_json(args.max_n), "results": to_json(results)}
         _emit(json.dumps(document, indent=2), None)
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(("n", "count", "witness", "status"))
-        for r in results:
-            writer.writerow((r.n, r.count, r.witness, r.status.value))
-        _emit(buf.getvalue(), None)
+        _emit(_csv(
+            ("n", "count", "witness", "status"),
+            *(r.values() for r in to_json(results)),
+        ), None)
     failing = [r for r in results if r.status is Status.FAIL]
     return EXIT_FINDING if failing else EXIT_OK
 
@@ -285,32 +241,15 @@ def _cmd_records(args: argparse.Namespace) -> int:
     config.validate()
     report = run_scan(config, progress=_progress)
     if args.format == "json":
-        ratio = None
-        if report.max_ratio is not None:
-            ratio = {
-                "g_cubed": str(report.max_ratio.g_cubed),
-                "p_squared": str(report.max_ratio.p_squared),
-                "p": str(report.max_ratio.p),
-                "g": str(report.max_ratio.g),
-            }
-        document = {
-            "range": [str(report.start), str(report.stop)],
-            "gap_records": [
-                {"p": str(r.p), "g": str(r.g)} for r in report.gap_records
-            ],
-            "max_ratio": ratio,
-        }
+        data = report.to_json_dict()
+        document = {k: data[k] for k in ("range", "gap_records", "max_ratio")}
         _emit(json.dumps(document, indent=2), None)
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(("record_type", "p", "g", "g_cubed", "p_squared"))
-        for r in report.gap_records:
-            writer.writerow(("gap", r.p, r.g, "", ""))
+        rows = [("gap", r.p, r.g, "", "") for r in report.gap_records]
         if report.max_ratio is not None:
             m = report.max_ratio
-            writer.writerow(("max_ratio", m.p, m.g, m.g_cubed, m.p_squared))
-        _emit(buf.getvalue(), None)
+            rows.append(("max_ratio", m.p, m.g, m.g_cubed, m.p_squared))
+        _emit(_csv(("record_type", "p", "g", "g_cubed", "p_squared"), *rows), None)
     return EXIT_OK
 
 
@@ -324,11 +263,11 @@ def run(argv: Sequence[str]) -> int:
         return code if isinstance(code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except IdentityCheckError as exc:
+    except (IdentityCheckError, CheckpointCorruptError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except CheckpointCorruptError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except (CheckpointMismatchError, OverflowError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -39,17 +39,18 @@ class MidpointRecord:
     alpha_mult * p is the largest odd multiple of p not exceeding m2, and
     beta_mult * q the same for q.  c_lo / c_hi count odd multiples of p / q
     in the half-open interval (p*q, m2].  x_lo / x_hi are (m2 - p) mod 2p
-    and (m2 - q) mod 2q.  delta is beta_mult*q - alpha_mult*p.
+    and (m2 - q) mod 2q.  delta is beta_mult*q - alpha_mult*p.  The fields
+    are declared in the order the JSON and CSV output lists them.
     """
 
     pair: PrimePair
     m2: int
-    alpha_mult: int
-    beta_mult: int
-    c_lo: int
-    c_hi: int
     x_lo: int
     x_hi: int
+    c_lo: int
+    c_hi: int
+    alpha_mult: int
+    beta_mult: int
     delta: int
 
 

@@ -22,6 +22,7 @@ from multiprocessing import get_context
 from typing import Callable, Iterable
 
 from .claims import PAIR_CLAIMS, ClaimId, ClaimOutcome, Status, check_identities
+from .codec import from_json, to_json
 from .errors import (
     CheckpointCorruptError,
     CheckpointMismatchError,
@@ -36,6 +37,10 @@ DEFAULT_CHUNK_SIZE = 1 << 24
 MIN_CHUNK_SIZE = 1 << 10
 DEFAULT_VIOLATION_CAP = 100
 CHECKPOINT_VERSION = 1
+# Each save waits for the disk (tens of ms on ext4), so between the halt and
+# final saves run_scan saves at most once per this many wall seconds; a crash
+# loses at most that much merged work.
+CHECKPOINT_INTERVAL_S = 1.0
 
 
 def default_workers() -> int:
@@ -170,91 +175,14 @@ class ScanReport:
         )
 
     def to_json_dict(self) -> dict:
-        """Decimal-string JSON form (no integer precision loss anywhere)."""
-        per_claim = {}
-        for claim in PAIR_CLAIMS:
-            counter = self.per_claim.get(claim)
-            if counter is None:
-                continue
-            per_claim[claim.value] = {
-                "checked": str(counter.checked),
-                "passed": str(counter.passed),
-                "vacuous": str(counter.vacuous),
-                "failed": str(counter.failed),
-            }
-        ratio = None
-        if self.max_ratio is not None:
-            ratio = {
-                "g_cubed": str(self.max_ratio.g_cubed),
-                "p_squared": str(self.max_ratio.p_squared),
-                "p": str(self.max_ratio.p),
-                "g": str(self.max_ratio.g),
-            }
-        return {
-            "range": [str(self.start), str(self.stop)],
-            "pairs_checked": str(self.pairs_checked),
-            "per_claim": per_claim,
-            "violations": [
-                {
-                    "claim": v.claim.value,
-                    "pair_p": str(v.pair_p),
-                    "status": v.status.value,
-                    "lhs": str(v.lhs),
-                    "rhs": str(v.rhs),
-                }
-                for v in self.violations
-            ],
-            "max_ratio": ratio,
-            "gap_records": [{"p": str(r.p), "g": str(r.g)} for r in self.gap_records],
-            "c_histogram": {
-                str(k): str(v) for k, v in sorted(self.c_histogram.items())
-            },
-            "violation_cap": str(self.violation_cap),
-            "elapsed_ns": str(self.elapsed_ns),
-        }
+        """The codec's JSON form, with start and stop as "range": [lo, hi]."""
+        data = to_json(self)
+        return {"range": [data.pop("start"), data.pop("stop")], **data}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ScanReport":
-        ratio = None
-        if data.get("max_ratio") is not None:
-            r = data["max_ratio"]
-            ratio = RatioRecord(
-                g_cubed=int(r["g_cubed"]),
-                p_squared=int(r["p_squared"]),
-                p=int(r["p"]),
-                g=int(r["g"]),
-            )
-        return cls(
-            start=int(data["range"][0]),
-            stop=int(data["range"][1]),
-            pairs_checked=int(data["pairs_checked"]),
-            per_claim={
-                ClaimId(name): ClaimCounter(
-                    checked=int(c["checked"]),
-                    passed=int(c["passed"]),
-                    vacuous=int(c["vacuous"]),
-                    failed=int(c["failed"]),
-                )
-                for name, c in data["per_claim"].items()
-            },
-            violations=[
-                ClaimOutcome(
-                    claim=ClaimId(v["claim"]),
-                    pair_p=int(v["pair_p"]),
-                    status=Status(v["status"]),
-                    lhs=int(v["lhs"]),
-                    rhs=int(v["rhs"]),
-                )
-                for v in data["violations"]
-            ],
-            max_ratio=ratio,
-            gap_records=[
-                GapRecord(p=int(r["p"]), g=int(r["g"])) for r in data["gap_records"]
-            ],
-            c_histogram={int(k): int(v) for k, v in data["c_histogram"].items()},
-            violation_cap=int(data["violation_cap"]),
-            elapsed_ns=int(data.get("elapsed_ns", "0")),
-        )
+        start, stop = data["range"]
+        return from_json(cls, {**data, "start": start, "stop": stop})
 
     def total_failed(self) -> int:
         return sum(c.failed for c in self.per_claim.values())
@@ -533,12 +461,14 @@ def save_checkpoint(state: CheckpointState, path: str) -> None:
     document = {
         "version": CHECKPOINT_VERSION,
         "config_digest": state.config_digest,
-        "completed": [[str(lo), str(hi)] for lo, hi in state.completed],
+        "completed": to_json(state.completed),
         "partial": None if state.partial is None else state.partial.to_json_dict(),
     }
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
         json.dump(document, fh)
+        fh.flush()
+        os.fsync(fh.fileno())
     os.replace(tmp, path)
 
 
@@ -554,18 +484,17 @@ def load_checkpoint(path: str) -> CheckpointState:
             raise CheckpointMismatchError(
                 f"checkpoint version {version}, expected {CHECKPOINT_VERSION}"
             )
-        completed = [(int(lo), int(hi)) for lo, hi in document["completed"]]
         partial = None
         if document["partial"] is not None:
             partial = ScanReport.from_json_dict(document["partial"])
         return CheckpointState(
             config_digest=str(document["config_digest"]),
-            completed=completed,
+            completed=from_json(list[tuple[int, int]], document["completed"]),
             partial=partial,
         )
     except CheckpointMismatchError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise CheckpointCorruptError(f"malformed checkpoint {path}: {exc}") from exc
 
 
@@ -581,7 +510,8 @@ def run_scan(
     halt_after_chunks: int | None = None,
 ) -> ScanReport:
     """Execute a full scan: plan chunks, fan out to workers, merge in range
-    order, checkpointing each completed prefix.
+    order, checkpointing the completed prefix at most once per
+    CHECKPOINT_INTERVAL_S of wall time, on halt, and after the last chunk.
 
     `progress` is called as progress(done, total, chunk) after each merge.
     `halt_after_chunks` stops early after that many newly merged chunks
@@ -612,21 +542,26 @@ def run_scan(
     cap = config.violation_cap
 
     newly_done = 0
+    last_save = time.monotonic()
 
     def absorb(chunk: tuple[int, int], report: ScanReport) -> ScanReport | None:
-        nonlocal partial, done, newly_done
+        nonlocal partial, done, newly_done, last_save
         partial = report if partial is None else merge_reports(partial, report)
         done += 1
         newly_done += 1
-        if config.checkpoint_path:
+        halt = halt_after_chunks is not None and newly_done >= halt_after_chunks
+        if config.checkpoint_path and (
+            halt
+            or done == len(plan)
+            or time.monotonic() - last_save >= CHECKPOINT_INTERVAL_S
+        ):
             save_checkpoint(
                 CheckpointState(digest, plan[:done], partial), config.checkpoint_path
             )
+            last_save = time.monotonic()
         if progress is not None:
             progress(done, len(plan), chunk)
-        if halt_after_chunks is not None and newly_done >= halt_after_chunks:
-            return partial
-        return None
+        return partial if halt else None
 
     if config.workers == 1 or len(remaining) <= 1:
         for chunk in remaining:

@@ -4,6 +4,8 @@ import csv
 import io
 import json
 
+import pytest
+
 from gapscan.cli import RECORD_COLUMNS, run
 from gapscan.scan import ScanConfig, ScanReport, run_scan
 
@@ -218,6 +220,17 @@ class TestExitCodeFidelity:
         )
         assert code == 3
         assert "internal error" in err
+
+    @pytest.mark.parametrize("flag", ["--checkpoint", "--out"])
+    def test_unwritable_file_exits_three(self, capsys, tmp_path, flag):
+        missing = tmp_path / "missing" / "file"
+        code, _, err = invoke(
+            capsys, "scan", "--from", "2", "--to", "5000", "--jobs", "1",
+            flag, str(missing),
+        )
+        assert code == 3
+        assert err.splitlines()[-1].startswith("error: ")
+        assert str(missing) in err
 
     def test_mismatched_checkpoint_exits_two(self, capsys, tmp_path):
         ckpt = tmp_path / "scan.ckpt"

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import json
 import os
+import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -27,6 +29,7 @@ from gapscan.errors import (
     IdentityCheckError,
     OverlappingRangesError,
 )
+import gapscan.scan
 from gapscan.midpoint import PrimePair, compute_record
 from gapscan.primes import iter_consecutive_pairs
 from gapscan.scan import (
@@ -354,7 +357,64 @@ class TestReportSerialization:
             assert all(isinstance(v, str) for v in counter.values())
 
 
+def _json_paths(node, prefix=()):
+    """The key path of every value inside a parsed JSON document."""
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ()
+    )
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _json_paths(child, prefix + (key,))
+
+
+def _valid_checkpoint() -> dict:
+    """A checkpoint document with every kind of report field filled in."""
+    partial = full_scan(2, 1024)
+    partial.violations.append(ClaimOutcome(ClaimId.COR_PRODUCT, 3, Status.FAIL, -6, 12))
+    partial.c_histogram[1] = 1
+    return {
+        "version": 1,
+        "config_digest": "digest",
+        "completed": [["2", "1024"]],
+        "partial": partial.to_json_dict(),
+    }
+
+
+VALID_CHECKPOINT = _valid_checkpoint()
+CHECKPOINT_PATHS = list(_json_paths(VALID_CHECKPOINT))
+
+# Everything Python's json module reads, NaN and Infinity included.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
 class TestCheckpoint:
+    @given(where=st.sampled_from(CHECKPOINT_PATHS), value=json_values)
+    @settings(
+        max_examples=400,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_any_swapped_field_loads_or_is_rejected(self, tmp_path, where, value):
+        document = json.loads(json.dumps(VALID_CHECKPOINT))
+        node = document
+        for key in where[:-1]:
+            node = node[key]
+        node[where[-1]] = value
+        # A fresh file per example: truncating a written one waits for the disk.
+        path = tmp_path / "scan.ckpt"
+        path.write_text(json.dumps(document))
+        try:
+            load_checkpoint(str(path))
+        except (CheckpointCorruptError, CheckpointMismatchError):
+            pass
+        finally:
+            path.unlink()
+
     def test_save_load_round_trip(self, tmp_path):
         path = str(tmp_path / "scan.ckpt")
         config = ScanConfig(start=2, stop=5000, chunk_size=1 << 10)
@@ -426,6 +486,66 @@ class TestCheckpoint:
         first = run_scan(config)
         again = run_scan(config)
         assert again == first
+
+    @pytest.mark.parametrize(
+        "step, halt, saved_at",
+        [
+            (0.0, None, [64]),
+            (0.0, 5, [5]),
+            (0.25, None, list(range(4, 65, 4))),
+            (1.5, None, list(range(1, 65))),
+        ],
+    )
+    def test_saves_at_most_once_per_interval(
+        self, tmp_path, monkeypatch, step, halt, saved_at
+    ):
+        # A stubbed clock advances `step` seconds per scanned chunk; every
+        # save records how many of the 64 chunks it covers.
+        now = 0.0
+        scan_chunk_ = gapscan.scan.scan_chunk
+        save_checkpoint_ = gapscan.scan.save_checkpoint
+        saved = []
+
+        def timed_chunk(*args):
+            nonlocal now
+            now += step
+            return scan_chunk_(*args)
+
+        def counted_save(state, path):
+            saved.append(len(state.completed))
+            save_checkpoint_(state, path)
+
+        clock = SimpleNamespace(
+            monotonic=lambda: now, perf_counter_ns=time.perf_counter_ns
+        )
+        monkeypatch.setattr(gapscan.scan, "time", clock)
+        monkeypatch.setattr(gapscan.scan, "scan_chunk", timed_chunk)
+        monkeypatch.setattr(gapscan.scan, "save_checkpoint", counted_save)
+        path = str(tmp_path / "scan.ckpt")
+        config = ScanConfig(start=2, stop=2 + 64 * 1024, chunk_size=1 << 10,
+                            checkpoint_path=path, workers=1)
+        report = run_scan(config, halt_after_chunks=halt)
+        assert saved == saved_at
+        assert load_checkpoint(path).partial == report
+
+    def test_save_syncs_before_replace(self, tmp_path, monkeypatch):
+        calls = []
+        fsync, replace = os.fsync, os.replace
+
+        def logged_fsync(fd):
+            calls.append("fsync")
+            fsync(fd)
+
+        def logged_replace(src, dst):
+            calls.append("replace")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", logged_fsync)
+        monkeypatch.setattr(os, "replace", logged_replace)
+        path = str(tmp_path / "scan.ckpt")
+        save_checkpoint(CheckpointState("x", [(2, 1024)], full_scan(2, 1024)), path)
+        assert calls == ["fsync", "replace"]
+        assert load_checkpoint(path).completed == [(2, 1024)]
 
     def test_workers_do_not_change_digest(self):
         base = ScanConfig(start=2, stop=5000, workers=1)
