@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Container
 
-from .midpoint import MidpointRecord
+from .midpoint import MidpointRecord, PrimePair
 from .primes import UNIVERSE_LIMIT, sieve_range
 
 
@@ -137,6 +138,34 @@ def check_theorem(p: int, g: int) -> ClaimOutcome:
     rhs = 16 * p * p
     status = Status.PASS if lhs < rhs else Status.FAIL
     return ClaimOutcome(ClaimId.THEOREM_CUBE_BOUND, p, status, lhs, rhs)
+
+
+_RECORD_CHECKS = (
+    (ClaimId.IDENTITIES, check_identities),
+    (ClaimId.LEMMA_ORDER, check_lemma_order),
+    (ClaimId.COR_BOUND, check_cor_bound),
+    (ClaimId.COR_PRODUCT, check_cor_product),
+    (ClaimId.LEMMA_RATIO, check_lemma_ratio),
+    (ClaimId.LEMMA_SQRT, check_lemma_sqrt),
+)
+
+
+def check_pair(
+    pair: PrimePair,
+    record: MidpointRecord | None,
+    claims: Container[ClaimId] = PAIR_CLAIMS,
+) -> list[ClaimOutcome]:
+    """Every check in `claims` on one pair, in PAIR_CLAIMS order.
+
+    `record` is compute_record(pair), or None for the pair at p = 2: it has
+    no integral midpoint, so it gets THEOREM_CUBE_BOUND alone.
+    """
+    outcomes = []
+    if record is not None:
+        outcomes = [check(record) for claim, check in _RECORD_CHECKS if claim in claims]
+    if ClaimId.THEOREM_CUBE_BOUND in claims:
+        outcomes.append(check_theorem(pair.p, pair.g))
+    return outcomes
 
 
 @dataclass(frozen=True)

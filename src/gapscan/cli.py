@@ -16,26 +16,14 @@ import json
 import sys
 from typing import Iterable, Sequence
 
-from .claims import (
-    PAIR_CLAIMS,
-    ClaimId,
-    Status,
-    check_cor_bound,
-    check_cor_product,
-    check_cube_interval,
-    check_identities,
-    check_lemma_order,
-    check_lemma_ratio,
-    check_lemma_sqrt,
-    check_theorem,
-)
+from .claims import PAIR_CLAIMS, ClaimId, Status, check_cube_interval, check_pair
 from .codec import to_json
 from .errors import (
     CheckpointCorruptError,
     CheckpointMismatchError,
     IdentityCheckError,
 )
-from .midpoint import compute_record, make_pair
+from .midpoint import PrimePair, compute_record, make_pair
 from .primes import UNIVERSE_LIMIT, is_prime, next_prime_above
 from .scan import ScanConfig, ScanReport, default_workers, run_scan
 
@@ -173,25 +161,18 @@ def _cmd_pair(args: argparse.Namespace) -> int:
     q = next_prime_above(p)
 
     if p == 2:
-        # No integral midpoint for (2, 3): only the cubed gap bound applies.
-        outcomes = [check_theorem(p, q - p)]
+        # No integral midpoint for (2, 3): no record, so only the cubed gap
+        # bound applies.
+        pair, record = PrimePair(p=p, q=q, g=q - p, m=p, b=0), None
         pair_json = {"p": to_json(p), "q": to_json(q), "g": to_json(q - p)}
         record_json = None
     else:
         pair = make_pair(p, q)
         record = compute_record(pair)
-        outcomes = [
-            check_identities(record),
-            check_lemma_order(record),
-            check_cor_bound(record),
-            check_cor_product(record),
-            check_lemma_ratio(record),
-            check_lemma_sqrt(record),
-            check_theorem(pair.p, pair.g),
-        ]
         pair_json = to_json(pair)
         record_json = to_json(record)
         del record_json["pair"]
+    outcomes = check_pair(pair, record)
 
     if args.format == "json":
         document = {

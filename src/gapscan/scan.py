@@ -1,11 +1,14 @@
-"""Chunked, mergeable range scans running every enabled check on every
-consecutive-prime pair.
+"""Chunked, mergeable range scans of every consecutive-prime pair under
+the enabled per-pair checks.
 
-The scan loop is a fused re-statement of the per-record checks in
-`claims`; it keeps exact counters and only materializes outcome objects
-for violations.  Equivalence of the two paths is pinned by tests.
-Determinism contract: the final report never depends on worker count,
-scheduling, or chunking (chunk merges happen in range order).
+A chunk is sieved in fixed windows; its pairs are counted from the prime
+flags, and only the few pairs a check, a gap record or the extremal ratio
+can depend on are found by a zero-run search and run through
+`midpoint.compute_record` and `claims.check_pair`.  Every other pair is
+settled by the lemma proved in `scan_chunk`, which tests pin against an
+every-pair reference scan.  Determinism contract: the final report never
+depends on worker count, scheduling, or chunking (chunk merges happen in
+range order).
 
 Reports are value objects that merge associatively, so a scan can be
 partitioned, checkpointed, and resumed without changing its result.
@@ -18,10 +21,12 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
+from math import isqrt
 from multiprocessing import get_context
 from typing import Callable, Iterable
 
-from .claims import PAIR_CLAIMS, ClaimId, ClaimOutcome, Status, check_identities
+from . import primes
+from .claims import PAIR_CLAIMS, ClaimId, ClaimOutcome, Status, check_pair
 from .codec import from_json, to_json
 from .errors import (
     CheckpointCorruptError,
@@ -31,7 +36,9 @@ from .errors import (
     OverlappingRangesError,
 )
 from .midpoint import PrimePair, compute_record
-from .primes import UNIVERSE_LIMIT, iter_consecutive_pairs
+from .primes import SEGMENT_WIDTH, UNIVERSE_LIMIT
+# perfbench/tracing.py wraps gapscan.scan.iter_consecutive_pairs by name.
+from .primes import iter_consecutive_pairs  # noqa: F401
 
 DEFAULT_CHUNK_SIZE = 1 << 24
 MIN_CHUNK_SIZE = 1 << 10
@@ -41,6 +48,11 @@ CHECKPOINT_VERSION = 1
 # final saves run_scan saves at most once per this many wall seconds; a crash
 # loses at most that much merged work.
 CHECKPOINT_INTERVAL_S = 1.0
+
+# Pairs that every scan_chunk call evaluates, with every check and counter,
+# ahead of the pairs it owns.  Always empty in the program: tests fill it
+# to reach the failure branches, which genuine consecutive primes never take.
+FED_PAIRS: tuple[tuple[int, int], ...] = ()
 
 
 def default_workers() -> int:
@@ -110,6 +122,14 @@ class ClaimCounter:
             self.vacuous + other.vacuous,
             self.failed + other.failed,
         )
+
+
+# What one evaluated outcome adds to its claim's counter.
+_TALLY = {
+    Status.PASS: ClaimCounter(checked=1, passed=1),
+    Status.VACUOUS_PASS: ClaimCounter(checked=1, vacuous=1),
+    Status.FAIL: ClaimCounter(checked=1, failed=1),
+}
 
 
 @dataclass(frozen=True)
@@ -215,17 +235,6 @@ def _icbrt(n: int) -> int:
     return x
 
 
-def _identity_abort(p: int, q: int) -> IdentityCheckError:
-    # Recompute through the record path so the error carries the first
-    # violated equation's sides.
-    g = q - p
-    pair = PrimePair(p=p, q=q, g=g, m=p + g // 2, b=g // 2)
-    outcome = check_identities(compute_record(pair))
-    return IdentityCheckError(
-        f"identity failed at pair ({p}, {q}): lhs={outcome.lhs} rhs={outcome.rhs}"
-    )
-
-
 def scan_chunk(
     lo: int,
     hi: int,
@@ -235,147 +244,116 @@ def scan_chunk(
     """Scan every pair owned by [lo, hi) (ownership by first element).
 
     The pair at p = 2 has no integral midpoint, so it only sees the cubed
-    gap bound; all other enabled checks run on every pair.
+    gap bound; all other enabled checks count every pair.
+
+    Only a few pairs are evaluated, by `compute_record` and `check_pair`:
+    the pair at p = 2, the pair crossing each sieve window's end (the last
+    one takes its successor from `next_prime_above`), and every pair whose
+    gap g exceeds t = min(best gap so far, isqrt(8P - 1),
+    icbrt(bg3 * P**2 // bp2)), where P is the prime the search starts from
+    and bg3 / bp2 is the best g**3 / p**2 so far.  Each term only grows
+    with P and with the state, so a pair with p >= P > 2 and g <= t neither
+    sets a gap record, nor beats the best ratio (g**3 * bp2 <= bg3 * p**2),
+    and has g**2 < 8p.  A gap above t is a run of at least t zero flags, so
+    the zero-run search finds exactly the pairs to evaluate.
+
+    Lemma: for odd p < q with g = q - p, b = g / 2 and g**2 < 8p, every
+    check passes, and COR_PRODUCT vacuously.  b**2 = g**2 / 4 < 2p < 2q,
+    so c_lo = c_hi = 0; then alpha = q and beta = p, so delta =
+    beta*q - alpha*p = 0 and 2*c_lo*g = 0 (COR_PRODUCT holds vacuously),
+    delta = 0 < 2p (COR_BOUND), c_hi <= c_lo (LEMMA_ORDER),
+    c_lo*g = 0 < p (LEMMA_RATIO), g**2 < 8p = 8p*(c_lo + 1) (LEMMA_SQRT),
+    and g**3 < (8p)**(3/2) <= 16p**2 for p >= 2 (THEOREM_CUBE_BOUND).  The
+    six IDENTITIES equations hold as algebra.  So every other pair adds
+    exactly 1 to each enabled claim's `checked`, 1 to COR_PRODUCT's
+    `vacuous` and every other claim's `passed`, 1 to c_histogram[0], and
+    nothing else.
+
+    The pairs in FED_PAIRS are evaluated first, through the same path.
     """
     t0 = time.perf_counter_ns()
     if lo >= hi:
         raise InvalidRangeError(f"empty or reversed chunk [{lo}, {hi})")
     enabled = frozenset(PAIR_CLAIMS) if claims is None else frozenset(claims)
 
-    do_ident = ClaimId.IDENTITIES in enabled
-    do_order = ClaimId.LEMMA_ORDER in enabled
-    do_bound = ClaimId.COR_BOUND in enabled
-    do_product = ClaimId.COR_PRODUCT in enabled
-    do_ratio = ClaimId.LEMMA_RATIO in enabled
-    do_sqrt = ClaimId.LEMMA_SQRT in enabled
-    do_theorem = ClaimId.THEOREM_CUBE_BOUND in enabled
-
-    pairs = 0
-    mid_pairs = 0
-    theorem_checked = 0
-    vacuous_product = 0
-    failed: dict[ClaimId, int] = {c: 0 for c in enabled}
+    tally = {c: ClaimCounter() for c in enabled}
     violations: list[ClaimOutcome] = []
-    hist_zero = 0
     hist: dict[int, int] = {}
     gap_records: list[GapRecord] = []
     best_gap = 0
-    # Max-ratio tracker with a lazily raised gap bar that prunes the exact
-    # cross-multiplied comparison to the rare candidate pairs.
-    bg3 = bp2 = 0
-    best_p = best_g = 0
-    ratio_bar = -1
-    bar_valid_until = 0
+    bg3 = bp2 = best_p = best_g = 0
+    evaluated = 0
 
-    def fail(claim: ClaimId, p: int, lhs: int, rhs: int) -> None:
-        failed[claim] += 1
-        if len(violations) < violation_cap:
-            violations.append(ClaimOutcome(claim, p, Status.FAIL, lhs, rhs))
-
-    for p, q in iter_consecutive_pairs(lo, hi):
-        pairs += 1
+    def evaluate(p: int, q: int) -> None:
+        nonlocal best_gap, bg3, bp2, best_p, best_g, evaluated
+        evaluated += 1
         g = q - p
-
         if g > best_gap:
             best_gap = g
             gap_records.append(GapRecord(p=p, g=g))
-        if bg3 == 0:
-            bg3 = g * g * g
-            bp2 = p * p
-            best_p, best_g = p, g
-            ratio_bar = _icbrt(bg3 * p * p // bp2)
-            bar_valid_until = p << 2
-        else:
-            if p > bar_valid_until:
-                ratio_bar = _icbrt(bg3 * p * p // bp2)
-                bar_valid_until = p << 2
-            if g > ratio_bar:
-                g3 = g * g * g
-                p2 = p * p
-                if g3 * bp2 > bg3 * p2:
-                    bg3, bp2, best_p, best_g = g3, p2, p, g
-                    ratio_bar = _icbrt(bg3 * p * p // bp2)
-                    bar_valid_until = p << 2
+        if bg3 == 0 or g * g * g * bp2 > bg3 * p * p:
+            bg3, bp2, best_p, best_g = g * g * g, p * p, p, g
+        pair = PrimePair(p=p, q=q, g=g, m=p + (g >> 1), b=g >> 1)
+        record = None
+        if p != 2:
+            record = compute_record(pair)
+            hist[record.c_lo] = hist.get(record.c_lo, 0) + 1
+        for outcome in check_pair(pair, record, enabled):
+            if outcome.status is Status.FAIL:
+                if outcome.claim is ClaimId.IDENTITIES:
+                    raise IdentityCheckError(
+                        f"identity failed at pair ({p}, {q}): "
+                        f"lhs={outcome.lhs} rhs={outcome.rhs}"
+                    )
+                if len(violations) < violation_cap:
+                    violations.append(outcome)
+            tally[outcome.claim] += _TALLY[outcome.status]
 
-        if p == 2:
-            if do_theorem:
-                theorem_checked += 1
-                if g * g * g >= 16 * p * p:
-                    fail(ClaimId.THEOREM_CUBE_BOUND, p, g * g * g, 16 * p * p)
+    for p, q in FED_PAIRS:
+        evaluate(p, q)
+    pairs = len(FED_PAIRS)
+
+    # Sieve and successor calls go through the module, so a wrapper set on
+    # gapscan.primes sees them.
+    prev = None  # the last prime of the windows so far; its pair is open
+    for window_lo in range(lo, hi, SEGMENT_WIDTH):
+        flags = primes.sieve_range(window_lo, min(window_lo + SEGMENT_WIDTH, hi)).flags
+        i = flags.find(1)
+        if i < 0:
             continue
+        pairs += flags.count(1)
+        if prev is not None:
+            evaluate(prev, window_lo + i)
+        last = flags.rfind(1)
+        # i indexes the prime P whose pair is the next one undecided.
+        while True:
+            p = window_lo + i
+            if p == 2 or not bp2:  # the pair at 2, or nothing evaluated yet
+                t = 0
+            else:
+                t = min(best_gap, isqrt(8 * p - 1), _icbrt(bg3 * p * p // bp2))
+            # The first run of t zeros from i + 1 starts right after the
+            # first prime at or past P whose gap exceeds t.
+            z = flags.find(bytes(t), i + 1, last)
+            if z < 0:
+                break
+            i = flags.find(1, z + t)
+            evaluate(window_lo + z - 1, window_lo + i)
+        prev = window_lo + last
+    if prev is not None:
+        evaluate(prev, primes.next_prime_above(prev))
 
-        mid_pairs += 1
-        b = g >> 1
-        m = p + b
-        m2 = m * m
-        b2 = b * b
-        two_p = p << 1
-        two_q = q << 1
-        c_lo = b2 // two_p
-        c_hi = b2 // two_q
-        x_lo = (m2 - p) % two_p
-        x_hi = (m2 - q) % two_q
-        alpha = q + (c_lo << 1)
-        beta = p + (c_hi << 1)
-        ap = alpha * p
-        bq = beta * q
-        delta = bq - ap
-
-        if c_lo:
-            hist[c_lo] = hist.get(c_lo, 0) + 1
-        else:
-            hist_zero += 1
-
-        if do_ident:
-            if (
-                m2 - p * q != b2
-                or ap != m2 - x_lo
-                or bq != m2 - x_hi
-                or delta != x_lo - x_hi
-            ):
-                raise _identity_abort(p, q)
-        if do_order and c_hi > c_lo:
-            fail(ClaimId.LEMMA_ORDER, p, c_hi, c_lo)
-        if do_bound and delta >= two_p:
-            fail(ClaimId.COR_BOUND, p, delta, two_p)
-        if do_product:
-            rhs = (c_lo * g) << 1
-            if delta != rhs:
-                fail(ClaimId.COR_PRODUCT, p, delta, rhs)
-            elif rhs == 0:
-                vacuous_product += 1
-        if do_ratio:
-            lhs = c_lo * g
-            if lhs >= p:
-                fail(ClaimId.LEMMA_RATIO, p, lhs, p)
-        if do_sqrt:
-            rhs = (p << 3) * (c_lo + 1)
-            if g * g >= rhs:
-                fail(ClaimId.LEMMA_SQRT, p, g * g, rhs)
-        if do_theorem:
-            theorem_checked += 1
-            # g < 256 and p > 1024 give g**3 <= 255**3 < 16*1024**2 < 16*p**2;
-            # everything else takes the exact products.
-            if (g >= 256 or p <= 1024) and g * g * g >= 16 * p * p:
-                fail(ClaimId.THEOREM_CUBE_BOUND, p, g * g * g, 16 * p * p)
-
-    if hist_zero:
-        hist[0] = hist_zero
-
-    per_claim: dict[ClaimId, ClaimCounter] = {}
-    for claim in enabled:
-        if claim is ClaimId.THEOREM_CUBE_BOUND:
-            checked = theorem_checked
-        else:
-            checked = mid_pairs
-        n_failed = failed[claim]
-        vacuous = vacuous_product if claim is ClaimId.COR_PRODUCT else 0
-        per_claim[claim] = ClaimCounter(
-            checked=checked,
-            passed=checked - vacuous - n_failed,
-            vacuous=vacuous,
-            failed=n_failed,
+    discharged = pairs - evaluated
+    per_claim = {
+        claim: counter + ClaimCounter(
+            checked=discharged,
+            passed=0 if claim is ClaimId.COR_PRODUCT else discharged,
+            vacuous=discharged if claim is ClaimId.COR_PRODUCT else 0,
         )
+        for claim, counter in tally.items()
+    }
+    if discharged:
+        hist[0] = hist.get(0, 0) + discharged
 
     max_ratio = None
     if bg3:
@@ -487,7 +465,7 @@ def load_checkpoint(path: str) -> CheckpointState:
         partial = None
         if document["partial"] is not None:
             partial = ScanReport.from_json_dict(document["partial"])
-        return CheckpointState(
+        state = CheckpointState(
             config_digest=str(document["config_digest"]),
             completed=from_json(list[tuple[int, int]], document["completed"]),
             partial=partial,
@@ -496,6 +474,17 @@ def load_checkpoint(path: str) -> CheckpointState:
         raise
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise CheckpointCorruptError(f"malformed checkpoint {path}: {exc}") from exc
+    # The partial report covers exactly the completed chunks, or is absent
+    # when none are completed.
+    done = state.completed
+    covered = (done[0][0], done[-1][1]) if done else None
+    span = None if partial is None else (partial.start, partial.stop)
+    if span != covered:
+        raise CheckpointCorruptError(
+            f"checkpoint {path}: completed chunks cover {covered}, "
+            f"its partial report covers {span}"
+        )
+    return state
 
 
 def _scan_chunk_task(args: tuple[int, int, tuple[str, ...], int]) -> ScanReport:

@@ -3,20 +3,38 @@ package code.
 
 The sieve here uses an odd-only bitmap (the package sieves full byte
 ranges), and primality falls back to trial division, so agreement between
-the two sides is meaningful.  The `crafted_pairs` fixture feeds chosen
-non-genuine pairs to the scan loop, which is how the failure and exit-code
-paths are reached: genuine consecutive primes never fail a claim.
+the two sides is meaningful.  `reference_scan` is the plain every-pair
+scan that `scan_chunk`'s shortcut must equal.  The `crafted_pairs` fixture
+feeds chosen non-genuine pairs to the scan, which is how the failure and
+exit-code paths are reached: genuine consecutive primes never fail a claim.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from fractions import Fraction
+from itertools import chain
+from typing import Callable, Iterable, Iterator
 
 import pytest
 
 import gapscan.scan
-from gapscan.errors import InvalidRangeError
+from gapscan.claims import (
+    PAIR_CLAIMS,
+    ClaimId,
+    ClaimOutcome,
+    Status,
+    check_cor_bound,
+    check_cor_product,
+    check_identities,
+    check_lemma_order,
+    check_lemma_ratio,
+    check_lemma_sqrt,
+    check_theorem,
+)
+from gapscan.errors import IdentityCheckError, InvalidRangeError
+from gapscan.midpoint import PrimePair, compute_record
 from gapscan.primes import PrimeSegment, iter_consecutive_pairs
+from gapscan.scan import ClaimCounter, GapRecord, RatioRecord, ScanReport
 
 # count_odd_multiples enumerates while the span is at most this many times
 # the divisor, and uses the closed form beyond it.
@@ -151,6 +169,82 @@ def stream_consecutive_pairs(
     return count
 
 
+def record_path_outcomes(p: int, q: int) -> list[ClaimOutcome]:
+    """Every applicable per-pair check, one record at a time, in
+    PAIR_CLAIMS order."""
+    g = q - p
+    if p == 2:
+        return [check_theorem(p, g)]
+    r = compute_record(PrimePair(p=p, q=q, g=g, m=p + g // 2, b=g // 2))
+    return [
+        check_identities(r),
+        check_lemma_order(r),
+        check_cor_bound(r),
+        check_cor_product(r),
+        check_lemma_ratio(r),
+        check_lemma_sqrt(r),
+        check_theorem(p, g),
+    ]
+
+
+def reference_scan(
+    lo: int,
+    hi: int,
+    claims: Iterable[ClaimId] | None = None,
+    violation_cap: int = 100,
+    fed: Iterable[tuple[int, int]] = (),
+) -> ScanReport:
+    """The report of [lo, hi) computed the plain way: the pairs in `fed`,
+    then every consecutive pair the range owns, each run through
+    compute_record and every check_* function, with the extremal ratio
+    kept as a Fraction."""
+    enabled = frozenset(PAIR_CLAIMS) if claims is None else frozenset(claims)
+    counts = {c: [0, 0, 0] for c in enabled}  # passed, vacuous, failed
+    violations: list[ClaimOutcome] = []
+    hist: dict[int, int] = {}
+    gap_records: list[GapRecord] = []
+    best_gap = 0
+    best: tuple[Fraction, int, int] | None = None
+    pairs = 0
+    for p, q in chain(fed, iter_consecutive_pairs(lo, hi)):
+        pairs += 1
+        g = q - p
+        if g > best_gap:
+            best_gap = g
+            gap_records.append(GapRecord(p=p, g=g))
+        if best is None or best[0] == 0 or Fraction(g**3, p * p) > best[0]:
+            best = (Fraction(g**3, p * p), p, g)
+        if p != 2:
+            c_lo = (g // 2) ** 2 // (2 * p)
+            hist[c_lo] = hist.get(c_lo, 0) + 1
+        for o in record_path_outcomes(p, q):
+            if o.claim not in enabled:
+                continue
+            if o.claim is ClaimId.IDENTITIES and o.status is Status.FAIL:
+                raise IdentityCheckError(
+                    f"identity failed at pair ({p}, {q}): lhs={o.lhs} rhs={o.rhs}"
+                )
+            slot = [Status.PASS, Status.VACUOUS_PASS, Status.FAIL].index(o.status)
+            counts[o.claim][slot] += 1
+            if o.status is Status.FAIL:
+                violations.append(o)
+    max_ratio = None
+    if best is not None and best[0] != 0:
+        _, p, g = best
+        max_ratio = RatioRecord(g_cubed=g**3, p_squared=p * p, p=p, g=g)
+    return ScanReport(
+        start=lo,
+        stop=hi,
+        pairs_checked=pairs,
+        per_claim={c: ClaimCounter(sum(n), *n) for c, n in counts.items()},
+        violations=violations[:violation_cap],
+        max_ratio=max_ratio,
+        gap_records=gap_records,
+        c_histogram=hist,
+        violation_cap=violation_cap,
+    )
+
+
 @pytest.fixture
 def crafted_pairs(monkeypatch):
     """Make `scan_chunk` see chosen (p, q) pairs ahead of its range's
@@ -158,17 +252,14 @@ def crafted_pairs(monkeypatch):
 
     Returns `feed(*pairs)`.  After `feed((3, 9))`, every scan_chunk call
     first evaluates the pair (3, 9), then the consecutive pairs it owns, so
-    the loop's real failure branches run and record real lhs/rhs values.
-    Each call to `feed` replaces the pairs fed before.  The patch is seen by
-    scans in this process; pool workers only see it when they are forked.
+    the real failure branches run and record real lhs/rhs values.  Each
+    call to `feed` replaces the pairs fed before.  The patch sets
+    `gapscan.scan.FED_PAIRS`, which scan_chunk reads once per call; it is
+    seen by scans in this process, and pool workers only see it when they
+    are forked.
     """
-    genuine = gapscan.scan.iter_consecutive_pairs
 
     def feed(*pairs: tuple[int, int]) -> None:
-        def pairs_with_crafted(lo, hi, *args, **kwargs):
-            yield from pairs
-            yield from genuine(lo, hi, *args, **kwargs)
-
-        monkeypatch.setattr(gapscan.scan, "iter_consecutive_pairs", pairs_with_crafted)
+        monkeypatch.setattr(gapscan.scan, "FED_PAIRS", pairs)
 
     return feed

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from gapscan.claims import (
     check_lemma_order,
     check_lemma_ratio,
     check_lemma_sqrt,
+    check_pair,
     check_theorem,
 )
 from gapscan.midpoint import MidpointRecord, PrimePair, compute_record, make_pair
@@ -178,6 +180,73 @@ class TestTheorem:
         primes = trial_division_primes(2, 5000)
         for p, q in zip(primes, primes[1:]):
             assert check_theorem(p, q - p).status is Status.PASS
+
+
+class TestCheckPair:
+    def test_every_check_in_claim_order(self):
+        r = record_at(113, 127)
+        assert check_pair(r.pair, r) == [
+            check_identities(r),
+            check_lemma_order(r),
+            check_cor_bound(r),
+            check_cor_product(r),
+            check_lemma_ratio(r),
+            check_lemma_sqrt(r),
+            check_theorem(113, 14),
+        ]
+
+    def test_subset(self):
+        r = record_at(113, 127)
+        subset = {ClaimId.LEMMA_SQRT, ClaimId.IDENTITIES}
+        assert check_pair(r.pair, r, subset) == [
+            check_identities(r),
+            check_lemma_sqrt(r),
+        ]
+        assert check_pair(r.pair, r, frozenset()) == []
+
+    def test_pair_at_two_gets_theorem_only(self):
+        pair = PrimePair(p=2, q=3, g=1, m=2, b=0)
+        assert check_pair(pair, None) == [check_theorem(2, 1)]
+        assert check_pair(pair, None, {ClaimId.IDENTITIES}) == []
+
+
+class TestGapLemma:
+    """The lemma behind scan_chunk's shortcut, on arbitrary odd p < q (not
+    only primes) up to 2**63."""
+
+    @given(data=st.data())
+    @settings(max_examples=500, deadline=None)
+    def test_lemma(self, data):
+        p = data.draw(
+            st.integers(min_value=1, max_value=(1 << 62) - 2).map(lambda k: 2 * k + 1),
+            label="p",
+        )
+        top = ((1 << 63) - 1 - p) // 2
+        b = data.draw(
+            st.integers(min_value=1, max_value=min(top, isqrt(2 * p) + 2))
+            | st.integers(min_value=1, max_value=top),
+            label="b",
+        )
+        g = 2 * b
+        pair = PrimePair(p=p, q=p + g, g=g, m=p + b, b=b)
+        record = compute_record(pair)
+        status = {o.claim: o.status for o in check_pair(pair, record)}
+        assert list(status) == list(PAIR_CLAIMS)
+        small = g * g < 8 * p
+        if small:
+            assert status == {
+                c: Status.VACUOUS_PASS if c is ClaimId.COR_PRODUCT else Status.PASS
+                for c in PAIR_CLAIMS
+            }
+        assert (record.c_lo >= 1) == (not small)
+        assert (status[ClaimId.COR_PRODUCT] is Status.VACUOUS_PASS) == small
+        for claim in (ClaimId.IDENTITIES, ClaimId.LEMMA_ORDER, ClaimId.COR_BOUND,
+                      ClaimId.LEMMA_SQRT):
+            assert status[claim] is Status.PASS
+        if status[ClaimId.LEMMA_RATIO] is Status.FAIL:
+            assert g**3 >= 8 * p * p
+        if status[ClaimId.THEOREM_CUBE_BOUND] is Status.FAIL:
+            assert g**3 >= 16 * p * p
 
 
 class TestDerivationChain:

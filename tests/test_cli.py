@@ -221,6 +221,31 @@ class TestExitCodeFidelity:
         assert code == 3
         assert "internal error" in err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("completed", []), ("partial", None), ("completed", [["2", "1026"]])],
+    )
+    def test_partial_disagreeing_with_completed_exits_three(
+        self, capsys, tmp_path, field, value
+    ):
+        # Two chunks are done: [2, 1026) and [1026, 2050).
+        ckpt = tmp_path / "scan.ckpt"
+        args = ("scan", "--from", "2", "--to", "5000", "--chunk-size", "1024",
+                "--jobs", "1", "--checkpoint", str(ckpt))
+        run_scan(
+            ScanConfig(start=2, stop=5000, chunk_size=1024, workers=1,
+                       checkpoint_path=str(ckpt)),
+            halt_after_chunks=2,
+        )
+        document = json.loads(ckpt.read_text())
+        document[field] = value
+        ckpt.write_text(json.dumps(document))
+        code, out, err = invoke(capsys, *args)
+        assert code == 3
+        assert out == ""
+        assert "internal error" in err
+        assert "completed chunks cover" in err
+
     @pytest.mark.parametrize("flag", ["--checkpoint", "--out"])
     def test_unwritable_file_exits_three(self, capsys, tmp_path, flag):
         missing = tmp_path / "missing" / "file"

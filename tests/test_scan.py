@@ -2,27 +2,16 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import time
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from gapscan.claims import (
-    PAIR_CLAIMS,
-    ClaimId,
-    ClaimOutcome,
-    Status,
-    check_cor_bound,
-    check_cor_product,
-    check_identities,
-    check_lemma_order,
-    check_lemma_ratio,
-    check_lemma_sqrt,
-    check_theorem,
-)
+from gapscan.claims import PAIR_CLAIMS, ClaimId, ClaimOutcome, Status
 from gapscan.errors import (
     CheckpointCorruptError,
     CheckpointMismatchError,
@@ -30,7 +19,6 @@ from gapscan.errors import (
     OverlappingRangesError,
 )
 import gapscan.scan
-from gapscan.midpoint import PrimePair, compute_record
 from gapscan.primes import iter_consecutive_pairs
 from gapscan.scan import (
     CheckpointState,
@@ -46,7 +34,12 @@ from gapscan.scan import (
     scan_chunk,
 )
 
-from conftest import oracle_gap_records, oracle_primes_below
+from conftest import (
+    oracle_gap_records,
+    oracle_primes_below,
+    record_path_outcomes,
+    reference_scan,
+)
 
 # No prime lies in [90, 96), so a scan of it sees only the crafted pairs.
 PRIMELESS = (90, 96)
@@ -54,24 +47,6 @@ PRIMELESS = (90, 96)
 
 def full_scan(lo: int, hi: int, **kwargs) -> ScanReport:
     return scan_chunk(lo, hi, **kwargs)
-
-
-def record_path_outcomes(p: int, q: int) -> list[ClaimOutcome]:
-    """Every applicable per-pair check, one record at a time, in
-    PAIR_CLAIMS order."""
-    g = q - p
-    if p == 2:
-        return [check_theorem(p, g)]
-    r = compute_record(PrimePair(p=p, q=q, g=g, m=p + g // 2, b=g // 2))
-    return [
-        check_identities(r),
-        check_lemma_order(r),
-        check_cor_bound(r),
-        check_cor_product(r),
-        check_lemma_ratio(r),
-        check_lemma_sqrt(r),
-        check_theorem(p, g),
-    ]
 
 
 class TestPlanChunks:
@@ -137,7 +112,7 @@ class TestScanChunk:
         ]
 
     def test_counters_match_per_record_checks(self):
-        # The fused loop must agree with the one-record-at-a-time checkers.
+        # The scan must agree with the one-record-at-a-time checkers.
         lo, hi = 2, 20000
         report = full_scan(lo, hi)
         expected = {claim: [0, 0, 0] for claim in PAIR_CLAIMS}  # pass/vac/fail
@@ -182,6 +157,76 @@ class TestScanChunk:
         expected = oracle_gap_records(primes, 10**4)
         report = full_scan(2, 10**4)
         assert [(r.p, r.g) for r in report.gap_records] == expected
+
+
+class TestReferenceEquality:
+    """scan_chunk evaluates only the pairs a check, a gap record or the
+    extremal ratio can depend on; its report must equal the every-pair
+    reference scan's."""
+
+    def test_first_million(self):
+        assert full_scan(2, 10**6) == reference_scan(2, 10**6)
+
+    @given(
+        lo=st.integers(min_value=2, max_value=10**12),
+        width=st.integers(min_value=1, max_value=1 << 16),
+        claims=st.just(None) | st.frozensets(st.sampled_from(PAIR_CLAIMS)),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_random_windows(self, lo, width, claims):
+        assert full_scan(lo, lo + width, claims=claims) == reference_scan(
+            lo, lo + width, claims=claims
+        )
+
+    @pytest.mark.parametrize("width", [16, 1024])
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [
+            (2, 40000),  # the gaps of 34 at 1327 and 72 at 31397
+            (47326600, 47327000),  # the gap of 220 at 47326693
+        ],
+    )
+    def test_gaps_spanning_whole_windows(self, monkeypatch, width, lo, hi):
+        monkeypatch.setattr(gapscan.scan, "SEGMENT_WIDTH", width)
+        report = full_scan(lo, hi)
+        # At width 16, the range's largest gap spans whole windows.
+        assert width > 16 or max(r.g for r in report.gap_records) > 2 * width
+        assert report == reference_scan(lo, hi)
+
+    @given(
+        fed=st.lists(
+            st.tuples(st.just(2), st.integers(min_value=-200, max_value=200))
+            | st.tuples(
+                st.integers(min_value=3, max_value=10**4),
+                st.integers(min_value=-100, max_value=100).map(lambda b: 2 * b),
+            ),
+            max_size=3,
+        ).map(lambda fed: [(p, p + g) for p, g in fed if g]),
+        lo=st.integers(min_value=2, max_value=3000),
+        width=st.integers(min_value=1, max_value=3000),
+    )
+    # An odd best gap, so the next gap record is exactly one more.
+    @example(fed=[(2, 9)], lo=2, width=3000)
+    # The ratio bar is the least threshold at 7, and (7, 11) beats the fed
+    # ratio 64/81 with a gap of exactly one over the bar.
+    @example(fed=[(9, 13)], lo=7, width=5)
+    # Two pairs with the same g**3 / p**2: the first one stays.
+    @example(fed=[(3, 5), (81, 99)], lo=90, width=6)
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_crafted_pairs_fed_first(self, crafted_pairs, fed, lo, width):
+        # Even p breaks the identities, so both sides may abort instead.
+        crafted_pairs(*fed)
+        try:
+            expected = reference_scan(lo, lo + width, fed=fed)
+        except IdentityCheckError as exc:
+            with pytest.raises(IdentityCheckError, match=f"^{re.escape(str(exc))}$"):
+                full_scan(lo, lo + width)
+        else:
+            assert full_scan(lo, lo + width) == expected
 
 
 class TestInjection:
@@ -248,7 +293,7 @@ class TestInjection:
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     def test_crafted_pair_matches_record_path(self, crafted_pairs, p, g, claims):
-        # The fused loop against the one-record-at-a-time checkers on data
+        # The scan against the one-record-at-a-time checkers on data
         # that fails; each example replaces the fed pair.  Claim subsets
         # matter: an odd gap aborts on IDENTITIES before LEMMA_SQRT can fail.
         q = p + g
@@ -431,7 +476,8 @@ class TestCheckpoint:
         config = ScanConfig(start=2, stop=5000, chunk_size=1 << 10,
                             checkpoint_path=path, workers=1)
         run_scan(config)
-        document = json.loads(open(path).read())
+        with open(path) as fh:
+            document = json.load(fh)
         assert set(document) == {"version", "config_digest", "completed", "partial"}
         assert document["version"] == 1
         assert document["completed"][0] == ["2", "1026"]
