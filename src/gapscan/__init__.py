@@ -23,10 +23,8 @@ from .midpoint import (
     make_pair,
 )
 from .primes import (
-    PrimeSegment,
     is_prime,
     iter_consecutive_pairs,
-    iter_primes,
     next_prime_above,
     sieve_range,
 )
@@ -55,7 +53,6 @@ __all__ = [
     "GapRecord",
     "MidpointRecord",
     "PrimePair",
-    "PrimeSegment",
     "RatioRecord",
     "ScanConfig",
     "ScanReport",
@@ -71,7 +68,6 @@ __all__ = [
     "compute_record",
     "is_prime",
     "iter_consecutive_pairs",
-    "iter_primes",
     "load_checkpoint",
     "make_pair",
     "merge_reports",

@@ -25,7 +25,14 @@ from .errors import (
 )
 from .midpoint import PrimePair, compute_record, make_pair
 from .primes import UNIVERSE_LIMIT, is_prime, next_prime_above
-from .scan import ScanConfig, ScanReport, default_workers, run_scan
+from .scan import (
+    DEFAULT_CHUNK_SIZE,
+    DEFAULT_VIOLATION_CAP,
+    ScanConfig,
+    ScanReport,
+    default_workers,
+    run_scan,
+)
 
 EXIT_OK = 0
 EXIT_FINDING = 1
@@ -73,7 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="inclusive lower bound (>= 2)")
     scan.add_argument("--to", dest="stop", type=int, required=True,
                       help="exclusive upper bound (<= 2**63)")
-    scan.add_argument("--chunk-size", type=int, default=1 << 24)
+    scan.add_argument("--chunk-size", type=int, default=DEFAULT_CHUNK_SIZE)
     scan.add_argument("--jobs", type=int, default=0,
                       help="worker processes (default: all cores)")
     scan.add_argument("--claims", default="all",
@@ -83,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       "instead of stdout")
     scan.add_argument("--checkpoint", default=None,
                       help="checkpoint file for interrupt/resume")
-    scan.add_argument("--violation-cap", type=int, default=100)
+    scan.add_argument("--violation-cap", type=int, default=DEFAULT_VIOLATION_CAP)
     scan.set_defaults(func=_cmd_scan)
 
     pair = sub.add_parser("pair", help="inspect one consecutive pair")
@@ -144,7 +151,6 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         violation_cap=args.violation_cap,
         checkpoint_path=args.checkpoint,
     )
-    config.validate()
     report = run_scan(config, progress=_progress)
     if args.format == "json":
         _emit(json.dumps(report.to_json_dict(), indent=2), args.out)
@@ -200,6 +206,8 @@ def _cmd_pair(args: argparse.Namespace) -> int:
 def _cmd_cubes(args: argparse.Namespace) -> int:
     if args.max_n < 1:
         raise ValueError("--max-n must be >= 1")
+    if (args.max_n + 1) ** 3 >= UNIVERSE_LIMIT:
+        raise ValueError(f"--max-n {args.max_n}: (max_n + 1)**3 exceeds 2**63")
     results = [check_cube_interval(n) for n in range(1, args.max_n + 1)]
     if args.format == "json":
         document = {"max_n": to_json(args.max_n), "results": to_json(results)}
@@ -214,12 +222,7 @@ def _cmd_cubes(args: argparse.Namespace) -> int:
 
 
 def _cmd_records(args: argparse.Namespace) -> int:
-    config = ScanConfig(
-        start=2,
-        stop=args.stop,
-        claims=frozenset(),
-    )
-    config.validate()
+    config = ScanConfig(start=2, stop=args.stop, claims=frozenset())
     report = run_scan(config, progress=_progress)
     if args.format == "json":
         data = report.to_json_dict()

@@ -1,14 +1,14 @@
 """Prime generation over 64-bit ranges.
 
 Two independent code paths are kept deliberately separate so they can
-cross-validate each other: a segmented sieve (`sieve_range`, and the
-streaming helpers built on it) and a deterministic Miller-Rabin test
-(`is_prime`) that never touches sieve data.
+cross-validate each other: a segmented sieve (`sieve_range`, and
+`windows`, the one walk of a range in sieve windows that every consumer of
+primes uses) and a deterministic Miller-Rabin test (`is_prime`) that never
+touches sieve data.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
 from typing import Iterator
 
@@ -16,7 +16,7 @@ from .errors import InvalidRangeError, RangeTooLargeError
 
 UNIVERSE_LIMIT = 1 << 63
 
-# Default window for streaming iteration; one window is a 1 MiB flag buffer.
+# Default width of `windows`; one window is a 1 MiB flag buffer.
 SEGMENT_WIDTH = 1 << 20
 
 # Hard cap on a single sieve_range allocation (256 MiB of flags).
@@ -24,26 +24,6 @@ MAX_SIEVE_WIDTH = 1 << 28
 
 # Witness set proven deterministic for every n < 2**64 (covers well past it).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-@dataclass
-class PrimeSegment:
-    """Sieved flags for the half-open range [lo, hi).
-
-    ``flags[i]`` is 1 exactly when ``lo + i`` is prime.  One byte per number;
-    the byte layout is an implementation detail, only the flag semantics are
-    contractual.
-    """
-
-    lo: int
-    hi: int
-    flags: bytearray
-
-    def __contains__(self, n: int) -> bool:
-        return self.lo <= n < self.hi and self.flags[n - self.lo] != 0
-
-    def count(self) -> int:
-        return self.flags.count(1)
 
 
 _small_primes_cache: list[int] = []
@@ -67,11 +47,12 @@ def _small_primes(limit: int) -> list[int]:
     return _small_primes_cache
 
 
-def sieve_range(lo: int, hi: int) -> PrimeSegment:
+def sieve_range(lo: int, hi: int) -> bytearray:
     """Sieve the half-open range [lo, hi) and return its prime flags.
 
-    The range must fit in one allocation (width <= MAX_SIEVE_WIDTH); callers
-    scanning big ranges chunk it themselves or use `iter_primes`.
+    ``flags[i]`` is 1 exactly when ``lo + i`` is prime, one byte per number.
+    The range must fit in one allocation (width <= MAX_SIEVE_WIDTH); walk
+    big ranges with `windows`.
     """
     if lo >= hi:
         raise InvalidRangeError(f"empty or reversed range [{lo}, {hi})")
@@ -110,7 +91,7 @@ def sieve_range(lo: int, hi: int) -> PrimeSegment:
         if start < hi:
             step = 2 * p
             flags[start - lo :: step] = b"\x00" * ((hi - start + step - 1) // step)
-    return PrimeSegment(lo, hi, flags)
+    return flags
 
 
 def is_prime(n: int) -> bool:
@@ -155,20 +136,19 @@ def next_prime_above(n: int) -> int:
     raise OverflowError(f"no prime above {n} within the 2**63 universe")
 
 
-def iter_primes(lo: int, hi: int, segment_width: int = SEGMENT_WIDTH) -> Iterator[int]:
-    """Yield primes in [lo, hi) in increasing order, sieving in fixed windows."""
+def windows(
+    lo: int, hi: int, width: int = SEGMENT_WIDTH
+) -> Iterator[tuple[int, bytearray]]:
+    """Yield (window_lo, flags) for contiguous windows of at most `width`
+    numbers that cover [lo, hi) in order, flags being the window's
+    `sieve_range`.  The range is checked at the call; each window is
+    sieved when the walk reaches it."""
     if lo >= hi:
         raise InvalidRangeError(f"empty or reversed range [{lo}, {hi})")
-    window_lo = lo
-    while window_lo < hi:
-        window_hi = min(window_lo + segment_width, hi)
-        seg = sieve_range(window_lo, window_hi)
-        flags = seg.flags
-        idx = flags.find(1)
-        while idx >= 0:
-            yield window_lo + idx
-            idx = flags.find(1, idx + 1)
-        window_lo = window_hi
+    return (
+        (window_lo, sieve_range(window_lo, min(window_lo + width, hi)))
+        for window_lo in range(lo, hi, width)
+    )
 
 
 def iter_consecutive_pairs(
@@ -180,9 +160,12 @@ def iter_consecutive_pairs(
     of the range needs it.
     """
     prev = None
-    for p in iter_primes(lo, hi, segment_width):
-        if prev is not None:
-            yield prev, p
-        prev = p
+    for window_lo, flags in windows(lo, hi, segment_width):
+        i = flags.find(1)
+        while i >= 0:
+            if prev is not None:
+                yield prev, window_lo + i
+            prev = window_lo + i
+            i = flags.find(1, i + 1)
     if prev is not None:
         yield prev, next_prime_above(prev)

@@ -20,6 +20,7 @@ import hashlib
 import json
 import os
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from math import isqrt
 from multiprocessing import get_context
@@ -32,7 +33,6 @@ from .errors import (
     CheckpointCorruptError,
     CheckpointMismatchError,
     IdentityCheckError,
-    InvalidRangeError,
     OverlappingRangesError,
 )
 from .midpoint import PrimePair, compute_record
@@ -212,15 +212,10 @@ def plan_chunks(config: ScanConfig) -> list[tuple[int, int]]:
     """Disjoint ordered chunks covering [start, stop) exactly, each at most
     chunk_size wide.  A pair belongs to the chunk containing its first
     element."""
-    if config.start >= config.stop:
-        raise InvalidRangeError(f"empty or reversed range [{config.start}, {config.stop})")
-    chunks = []
-    lo = config.start
-    while lo < config.stop:
-        hi = min(lo + config.chunk_size, config.stop)
-        chunks.append((lo, hi))
-        lo = hi
-    return chunks
+    return [
+        (lo, min(lo + config.chunk_size, config.stop))
+        for lo in range(config.start, config.stop, config.chunk_size)
+    ]
 
 
 def _icbrt(n: int) -> int:
@@ -238,7 +233,7 @@ def _icbrt(n: int) -> int:
 def scan_chunk(
     lo: int,
     hi: int,
-    claims: Iterable[ClaimId] | None = None,
+    claims: Iterable[ClaimId] = PAIR_CLAIMS,
     violation_cap: int = DEFAULT_VIOLATION_CAP,
 ) -> ScanReport:
     """Scan every pair owned by [lo, hi) (ownership by first element).
@@ -272,9 +267,10 @@ def scan_chunk(
     The pairs in FED_PAIRS are evaluated first, through the same path.
     """
     t0 = time.perf_counter_ns()
-    if lo >= hi:
-        raise InvalidRangeError(f"empty or reversed chunk [{lo}, {hi})")
-    enabled = frozenset(PAIR_CLAIMS) if claims is None else frozenset(claims)
+    # Sieve and successor calls go through the module, so a wrapper set on
+    # gapscan.primes sees them.  windows rejects an empty range here.
+    walk = primes.windows(lo, hi, SEGMENT_WIDTH)
+    enabled = frozenset(claims)
 
     tally = {c: ClaimCounter() for c in enabled}
     violations: list[ClaimOutcome] = []
@@ -313,11 +309,8 @@ def scan_chunk(
         evaluate(p, q)
     pairs = len(FED_PAIRS)
 
-    # Sieve and successor calls go through the module, so a wrapper set on
-    # gapscan.primes sees them.
     prev = None  # the last prime of the windows so far; its pair is open
-    for window_lo in range(lo, hi, SEGMENT_WIDTH):
-        flags = primes.sieve_range(window_lo, min(window_lo + SEGMENT_WIDTH, hi)).flags
+    for window_lo, flags in walk:
         i = flags.find(1)
         if i < 0:
             continue
@@ -487,10 +480,8 @@ def load_checkpoint(path: str) -> CheckpointState:
     return state
 
 
-def _scan_chunk_task(args: tuple[int, int, tuple[str, ...], int]) -> ScanReport:
-    lo, hi, claim_names, cap = args
-    claims = frozenset(ClaimId(name) for name in claim_names)
-    return scan_chunk(lo, hi, claims, cap)
+def _scan_chunk_task(args: tuple[int, int, frozenset[ClaimId], int]) -> ScanReport:
+    return scan_chunk(*args)
 
 
 def run_scan(
@@ -527,46 +518,31 @@ def run_scan(
         partial = state.partial
 
     remaining = plan[done:]
-    claim_names = tuple(sorted(c.value for c in config.claims))
-    cap = config.violation_cap
-
-    newly_done = 0
+    tasks = [(lo, hi, config.claims, config.violation_cap) for lo, hi in remaining]
+    workers = min(config.workers, len(tasks))
     last_save = time.monotonic()
-
-    def absorb(chunk: tuple[int, int], report: ScanReport) -> ScanReport | None:
-        nonlocal partial, done, newly_done, last_save
-        partial = report if partial is None else merge_reports(partial, report)
-        done += 1
-        newly_done += 1
-        halt = halt_after_chunks is not None and newly_done >= halt_after_chunks
-        if config.checkpoint_path and (
-            halt
-            or done == len(plan)
-            or time.monotonic() - last_save >= CHECKPOINT_INTERVAL_S
-        ):
-            save_checkpoint(
-                CheckpointState(digest, plan[:done], partial), config.checkpoint_path
-            )
-            last_save = time.monotonic()
-        if progress is not None:
-            progress(done, len(plan), chunk)
-        return partial if halt else None
-
-    if config.workers == 1 or len(remaining) <= 1:
-        for chunk in remaining:
-            report = scan_chunk(chunk[0], chunk[1], config.claims, cap)
-            early = absorb(chunk, report)
-            if early is not None:
-                return early
-    else:
-        tasks = [(lo, hi, claim_names, cap) for lo, hi in remaining]
-        ctx = get_context()
-        with ctx.Pool(processes=min(config.workers, len(tasks))) as pool:
-            for chunk, report in zip(remaining, pool.imap(_scan_chunk_task, tasks)):
-                early = absorb(chunk, report)
-                if early is not None:
-                    pool.terminate()
-                    return early
+    # Leaving the block terminates the pool, also on halt.
+    with (get_context().Pool(workers) if workers > 1 else nullcontext()) as pool:
+        if pool is None:
+            reports = map(_scan_chunk_task, tasks)
+        else:
+            reports = pool.imap(_scan_chunk_task, tasks)
+        for newly_done, (chunk, report) in enumerate(zip(remaining, reports), 1):
+            partial = report if partial is None else merge_reports(partial, report)
+            done += 1
+            halt = halt_after_chunks is not None and newly_done >= halt_after_chunks
+            if config.checkpoint_path and (
+                halt
+                or done == len(plan)
+                or time.monotonic() - last_save >= CHECKPOINT_INTERVAL_S
+            ):
+                state = CheckpointState(digest, plan[:done], partial)
+                save_checkpoint(state, config.checkpoint_path)
+                last_save = time.monotonic()
+            if progress is not None:
+                progress(done, len(plan), chunk)
+            if halt:
+                break
 
     assert partial is not None  # plan is never empty for a validated config
     return partial

@@ -33,7 +33,7 @@ from gapscan.claims import (
 )
 from gapscan.errors import IdentityCheckError, InvalidRangeError
 from gapscan.midpoint import PrimePair, compute_record
-from gapscan.primes import PrimeSegment, iter_consecutive_pairs
+from gapscan.primes import iter_consecutive_pairs
 from gapscan.scan import ClaimCounter, GapRecord, RatioRecord, ScanReport
 
 # count_odd_multiples enumerates while the span is at most this many times
@@ -146,12 +146,12 @@ def count_odd_multiples(d: int, lo: int, hi: int) -> int:
     return (hi // d + 1) // 2 - (lo // d + 1) // 2
 
 
-def flagged_primes(segment: PrimeSegment) -> Iterator[int]:
-    """Yield the primes flagged in a sieved segment, in increasing order."""
-    flags = segment.flags
+def flagged_primes(lo: int, flags: bytearray) -> Iterator[int]:
+    """Yield the primes flagged in the sieve flags of a window starting at
+    lo, in increasing order."""
     idx = flags.find(1)
     while idx >= 0:
-        yield segment.lo + idx
+        yield lo + idx
         idx = flags.find(1, idx + 1)
 
 
@@ -190,7 +190,7 @@ def record_path_outcomes(p: int, q: int) -> list[ClaimOutcome]:
 def reference_scan(
     lo: int,
     hi: int,
-    claims: Iterable[ClaimId] | None = None,
+    claims: Iterable[ClaimId] = PAIR_CLAIMS,
     violation_cap: int = 100,
     fed: Iterable[tuple[int, int]] = (),
 ) -> ScanReport:
@@ -198,7 +198,7 @@ def reference_scan(
     then every consecutive pair the range owns, each run through
     compute_record and every check_* function, with the extremal ratio
     kept as a Fraction."""
-    enabled = frozenset(PAIR_CLAIMS) if claims is None else frozenset(claims)
+    enabled = frozenset(claims)
     counts = {c: [0, 0, 0] for c in enabled}  # passed, vacuous, failed
     violations: list[ClaimOutcome] = []
     hist: dict[int, int] = {}

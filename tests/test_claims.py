@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gapscan.claims
 from gapscan.claims import (
     PAIR_CLAIMS,
     ClaimId,
@@ -279,6 +280,21 @@ class TestCubeInterval:
             result = check_cube_interval(n)
             assert result.count == len(expected)
             assert result.witness == expected[0]
+
+    @pytest.mark.parametrize("width", [1, 7, 100])
+    def test_narrow_windows_match_default_and_trial_division(
+        self, monkeypatch, width
+    ):
+        # Most intervals then span many windows: the count sums over them,
+        # and at width 1 the witness comes from a window after the first
+        # whenever n**3 + 1 is composite.
+        default = [check_cube_interval(n) for n in range(1, 31)]
+        monkeypatch.setattr(gapscan.claims, "CUBE_WINDOW", width)
+        for n, expected in zip(range(1, 31), default):
+            result = check_cube_interval(n)
+            primes = trial_division_primes(n**3 + 1, (n + 1) ** 3)
+            assert result == expected
+            assert (result.count, result.witness) == (len(primes), primes[0])
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):

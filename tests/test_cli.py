@@ -81,6 +81,14 @@ class TestCubesCommand:
         code, _, err = invoke(capsys, "cubes", "--max-n", "0")
         assert code == 2
 
+    def test_rejects_universe_escape_before_any_interval(self, capsys):
+        # (2**21)**3 = 2**63: rejected at once, not after sieving every
+        # smaller n.
+        code, out, err = invoke(capsys, "cubes", "--max-n", str(2**21 - 1))
+        assert code == 2
+        assert out == ""
+        assert "2**63" in err
+
 
 class TestRecordsCommand:
     def test_gap_records_json(self, capsys):

@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 from gapscan.errors import InvalidRangeError, RangeTooLargeError
 from gapscan.primes import (
     MAX_SIEVE_WIDTH,
+    SEGMENT_WIDTH,
     is_prime,
     iter_consecutive_pairs,
     next_prime_above,
     sieve_range,
+    windows,
 )
 
 from conftest import (
@@ -25,7 +27,7 @@ from conftest import (
 
 
 def segment_primes(lo: int, hi: int) -> list[int]:
-    return list(flagged_primes(sieve_range(lo, hi)))
+    return list(flagged_primes(lo, sieve_range(lo, hi)))
 
 
 class TestSieveRange:
@@ -47,11 +49,11 @@ class TestSieveRange:
         )
 
     def test_flag_semantics(self):
-        seg = sieve_range(10, 30)
-        assert 11 in seg and 29 in seg
-        assert 21 not in seg
-        assert 9 not in seg  # outside the window
-        assert seg.count() == 6
+        flags = sieve_range(10, 30)
+        assert flags[11 - 10] and flags[29 - 10]
+        assert not flags[21 - 10]
+        assert len(flags) == 20  # 9 lies outside the window
+        assert flags.count(1) == 6
 
     def test_rejects_empty_range(self):
         with pytest.raises(InvalidRangeError):
@@ -80,9 +82,39 @@ class TestSieveRange:
         rng = random.Random(0x5EED)
         for _ in range(12):
             lo = rng.randrange(2, 10**12 - 10**4)
-            seg = sieve_range(lo, lo + 10**4)
-            for offset, flag in enumerate(seg.flags):
+            flags = sieve_range(lo, lo + 10**4)
+            for offset, flag in enumerate(flags):
                 assert bool(flag) == is_prime(lo + offset)
+
+
+class TestWindows:
+    @given(
+        lo=st.integers(min_value=0, max_value=10**5),
+        span=st.integers(min_value=1, max_value=3000),
+        width=st.integers(min_value=1, max_value=700),
+    )
+    @settings(max_examples=80)
+    def test_windows_cover_the_range_with_true_flags(self, lo, span, width):
+        hi = lo + span
+        walk = list(windows(lo, hi, width))
+        assert walk[0][0] == lo
+        for (window_lo, flags), (next_lo, _) in zip(walk, walk[1:]):
+            assert window_lo + len(flags) == next_lo
+        assert walk[-1][0] + len(walk[-1][1]) == hi
+        assert all(1 <= len(flags) <= width for _, flags in walk)
+        found = [p for w in walk for p in flagged_primes(*w)]
+        assert found == trial_division_primes(lo, hi)
+
+    def test_default_width_is_segment_width(self):
+        assert [len(flags) for _, flags in windows(0, SEGMENT_WIDTH + 5)] == [
+            SEGMENT_WIDTH, 5,
+        ]
+
+    def test_rejects_empty_range_at_the_call(self):
+        with pytest.raises(InvalidRangeError):
+            windows(30, 30)
+        with pytest.raises(InvalidRangeError):
+            windows(30, 10, 4)
 
 
 class TestIsPrime:

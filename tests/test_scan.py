@@ -62,6 +62,11 @@ class TestPlanChunks:
         config = ScanConfig(start=0, stop=1 << 24, chunk_size=1 << 24)
         assert plan_chunks(config) == [(0, 1 << 24)]
 
+    def test_empty_range_plans_nothing(self):
+        # validate() rejects this config; plan_chunks does not re-check it.
+        assert plan_chunks(ScanConfig(start=10, stop=10, chunk_size=40)) == []
+        assert plan_chunks(ScanConfig(start=10, stop=5, chunk_size=40)) == []
+
     @given(
         start=st.integers(min_value=0, max_value=10**6),
         width=st.integers(min_value=1, max_value=10**6),
@@ -170,7 +175,7 @@ class TestReferenceEquality:
     @given(
         lo=st.integers(min_value=2, max_value=10**12),
         width=st.integers(min_value=1, max_value=1 << 16),
-        claims=st.just(None) | st.frozensets(st.sampled_from(PAIR_CLAIMS)),
+        claims=st.just(PAIR_CLAIMS) | st.frozensets(st.sampled_from(PAIR_CLAIMS)),
     )
     @settings(max_examples=30, deadline=None)
     def test_random_windows(self, lo, width, claims):
@@ -274,7 +279,8 @@ class TestInjection:
         self, crafted_pairs, pair, claims, claim
     ):
         crafted_pairs(pair)
-        report = full_scan(*PRIMELESS, claims=claims)
+        # None in the table stands for every claim.
+        report = full_scan(*PRIMELESS, claims=PAIR_CLAIMS if claims is None else claims)
         (expected,) = [o for o in record_path_outcomes(*pair) if o.claim is claim]
         assert expected.status is Status.FAIL
         assert report.per_claim[claim].failed == 1
