@@ -184,8 +184,9 @@ class CubeIntervalResult:
         return ClaimOutcome(ClaimId.CUBE_INTERVAL, self.n, self.status, self.count, 1)
 
 
-# Window width of check_cube_interval.  Each window loops over every base
-# prime again, so wide windows keep that cost to a few loops per n.
+# Window width of check_cube_interval, in numbers (8 MiB of flags).  Each
+# window loops over every base prime again, so wide windows keep that cost
+# to a few loops per n.
 CUBE_WINDOW = 1 << 24
 
 
@@ -202,9 +203,11 @@ def check_cube_interval(n: int) -> CubeIntervalResult:
     if cube_hi >= UNIVERSE_LIMIT:
         raise OverflowError(f"(n+1)**3 = {cube_hi} leaves the 2**63 universe")
     count = witness = 0
-    for window_lo, flags in windows(cube_lo + 1, cube_hi, CUBE_WINDOW):
+    if cube_lo < 2:  # n = 1: 2, which has no sieve flag, is the witness
+        count, witness = 1, 2
+    for base, flags in windows(cube_lo + 1, cube_hi, CUBE_WINDOW):
         count += flags.count(1)
         if not witness and (i := flags.find(1)) >= 0:
-            witness = window_lo + i
+            witness = base + 2 * i
     status = Status.PASS if count >= 1 else Status.FAIL
     return CubeIntervalResult(n=n, count=count, witness=witness, status=status)

@@ -5,10 +5,20 @@ cross-validate each other: a segmented sieve (`sieve_range`, and
 `windows`, the one walk of a range in sieve windows that every consumer of
 primes uses) and a deterministic Miller-Rabin test (`is_prime`) that never
 touches sieve data.
+
+Sieve layout: odd numbers only, one flag byte each.  The flags of a range
+[lo, hi) start at base = lo | 1, the first odd number at or past lo, and
+``flags[i]`` stands for ``base + 2*i``.  The one even prime, 2, has no
+flag, so every consumer counts it by its own explicit rule whenever
+lo <= 2 < hi.  A window's flags start as a rotation of a fixed pattern
+with every multiple of 3, 5, 7, 11 and 13 struck, tiled from one period
+of 15015 odd numbers, so the base-prime loop starts at 17.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from itertools import compress, islice
 from math import isqrt
 from typing import Iterator
 
@@ -16,43 +26,79 @@ from .errors import InvalidRangeError, RangeTooLargeError
 
 UNIVERSE_LIMIT = 1 << 63
 
-# Default width of `windows`; one window is a 1 MiB flag buffer.
+# Default width of `windows`, in numbers; one window is 512 KiB of flags.
 SEGMENT_WIDTH = 1 << 20
 
-# Hard cap on a single sieve_range allocation (256 MiB of flags).
+# Hard cap on the width of one sieve_range call, in numbers (128 MiB of
+# flags).
 MAX_SIEVE_WIDTH = 1 << 28
 
 # Witness set proven deterministic for every n < 2**64 (covers well past it).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
+# The odd primes whose multiples the pattern strikes; it repeats every
+# _PERIOD odd numbers.
+_PRESIEVED = (3, 5, 7, 11, 13)
+_PERIOD = 3 * 5 * 7 * 11 * 13
+
+
+def _presieve_pattern() -> bytearray:
+    """Two periods of flags for the odd numbers 1, 3, 5, ... (index j stands
+    for 2j + 1): 0 at every multiple of a presieved prime, the prime itself
+    included, 1 elsewhere."""
+    pattern = bytearray(b"\x01") * _PERIOD
+    for p in _PRESIEVED:
+        # 2j + 1 is a multiple of p exactly when j = p >> 1 (mod p).
+        pattern[p >> 1 :: p] = bytes(len(range(p >> 1, _PERIOD, p)))
+    return pattern * 2
+
+
+_PATTERN = _presieve_pattern()
 
 _small_primes_cache: list[int] = []
 _small_primes_limit = 0
 
 
 def _small_primes(limit: int) -> list[int]:
-    """Primes <= limit via a plain sieve, cached and grown monotonically."""
+    """The odd primes <= limit (2 is left out) via an odd-only sieve, cached
+    and grown monotonically."""
     global _small_primes_cache, _small_primes_limit
     if limit <= _small_primes_limit:
         return _small_primes_cache
     limit = max(limit, 1 << 10)
-    flags = bytearray(b"\x01") * (limit + 1)
-    flags[0:2] = b"\x00\x00"
-    for p in range(2, isqrt(limit) + 1):
-        if flags[p]:
-            start = p * p
-            flags[start :: p] = b"\x00" * ((limit - start) // p + 1)
-    _small_primes_cache = [i for i, f in enumerate(flags) if f]
+    size = (limit + 1) >> 1  # flags[j] stands for the odd number 2j + 1
+    flags = bytearray(b"\x01") * size
+    flags[0] = 0
+    for j in range(1, (isqrt(limit) + 1) >> 1):
+        if flags[j]:
+            p = 2 * j + 1
+            start = p * p >> 1
+            flags[start::p] = bytes((size - 1 - start) // p + 1)
+    _small_primes_cache = list(compress(range(1, limit + 1, 2), flags))
     _small_primes_limit = limit
     return _small_primes_cache
 
 
 def sieve_range(lo: int, hi: int) -> bytearray:
-    """Sieve the half-open range [lo, hi) and return its prime flags.
+    """Sieve the odd numbers of the half-open range [lo, hi).
 
-    ``flags[i]`` is 1 exactly when ``lo + i`` is prime, one byte per number.
-    The range must fit in one allocation (width <= MAX_SIEVE_WIDTH); walk
-    big ranges with `windows`.
+    ``flags[i]`` is 1 exactly when ``(lo | 1) + 2*i`` is prime, one byte per
+    odd number, so ``len(flags)`` is the count of odd numbers in [lo, hi)
+    (0 for [2, 3)).  2 has no flag: a caller whose range holds it counts it
+    by its own rule.  The range must fit in one allocation (width
+    hi - lo <= MAX_SIEVE_WIDTH numbers); walk big ranges with `windows`.
+
+    The flags start as one period of `_PATTERN` from index
+    (base >> 1) mod 15015, where base = lo | 1, repeated to length: every
+    multiple of 3, 5, 7, 11 and 13 is struck.  Each odd base prime p from
+    17 to isqrt(hi - 1) then strikes every p-th flag from its first odd
+    multiple at or past base, at index i = ((p >> 1) - (base >> 1)) mod p:
+    base + 2i = 2((base >> 1) + i) + 1 is then 2(p >> 1) + 1 = p modulo p.
+    Every odd composite below hi has an odd prime factor <= isqrt(hi - 1),
+    so exactly the odd primes survive, except that each struck prime inside
+    the range was struck at itself, its first odd multiple, and 1 was never
+    struck; both are set right at the end.  Fills the base-prime cache up
+    to isqrt(hi - 1) even when the range holds no odd number.
     """
     if lo >= hi:
         raise InvalidRangeError(f"empty or reversed range [{lo}, {hi})")
@@ -64,33 +110,27 @@ def sieve_range(lo: int, hi: int) -> bytearray:
             f"width {width} exceeds {MAX_SIEVE_WIDTH}; chunk the range"
         )
 
-    flags = bytearray(b"\x01") * width
+    base = lo | 1
+    n = (hi - base + 1) >> 1
+    root = isqrt(hi - 1)
+    odd_primes = _small_primes(root)
+    struck = max(bisect_right(odd_primes, root), len(_PRESIEVED))
 
-    # 0 and 1 are not prime.
-    for v in (0, 1):
-        if lo <= v < hi:
-            flags[v - lo] = 0
+    k = base >> 1
+    offset = k % _PERIOD
+    flags = _PATTERN[offset : offset + _PERIOD] * -(-n // _PERIOD)
+    del flags[n:]
 
-    # Even numbers out, except 2 itself.
-    first_even = lo + (lo & 1)
-    if first_even < hi:
-        flags[first_even - lo :: 2] = b"\x00" * ((hi - first_even + 1) // 2)
-    if lo <= 2 < hi:
-        flags[2 - lo] = 1
+    for p in islice(odd_primes, len(_PRESIEVED), struck):
+        i = ((p >> 1) - k) % p
+        if i < n:  # high up, most base primes have no multiple in range
+            flags[i::p] = bytes((n - 1 - i) // p + 1)
 
-    # Strike odd multiples of each odd base prime (step 2p keeps parity odd).
-    for p in _small_primes(isqrt(hi - 1)):
-        if p == 2:
-            continue
-        pp = p * p
-        if pp >= hi:
-            break
-        start = max(pp, ((lo + p - 1) // p) * p)
-        if start % 2 == 0:
-            start += p
-        if start < hi:
-            step = 2 * p
-            flags[start - lo :: step] = b"\x00" * ((hi - start + step - 1) // step)
+    for p in islice(odd_primes, bisect_left(odd_primes, base), struck):
+        if p < hi:
+            flags[(p - base) >> 1] = 1
+    if base == 1 and n:
+        flags[0] = 0  # 1 is not prime
     return flags
 
 
@@ -139,14 +179,18 @@ def next_prime_above(n: int) -> int:
 def windows(
     lo: int, hi: int, width: int = SEGMENT_WIDTH
 ) -> Iterator[tuple[int, bytearray]]:
-    """Yield (window_lo, flags) for contiguous windows of at most `width`
-    numbers that cover [lo, hi) in order, flags being the window's
-    `sieve_range`.  The range is checked at the call; each window is
-    sieved when the walk reaches it."""
+    """Yield (base, flags) for contiguous windows of at most `width`
+    numbers that cover [lo, hi) in order: flags is the window's
+    `sieve_range` and base the first odd number at or past the window's
+    start, so ``flags[i]`` stands for ``base + 2*i``.  One window ends where
+    the next begins: base + 2 * len(flags) is the next window's base.  A
+    window holding no odd number yields empty flags, and 2 is never
+    flagged.  The range is checked at the call; each window is sieved when
+    the walk reaches it."""
     if lo >= hi:
         raise InvalidRangeError(f"empty or reversed range [{lo}, {hi})")
     return (
-        (window_lo, sieve_range(window_lo, min(window_lo + width, hi)))
+        (window_lo | 1, sieve_range(window_lo, min(window_lo + width, hi)))
         for window_lo in range(lo, hi, width)
     )
 
@@ -159,13 +203,15 @@ def iter_consecutive_pairs(
     q is always the true successor prime, found past hi when the last prime
     of the range needs it.
     """
-    prev = None
-    for window_lo, flags in windows(lo, hi, segment_width):
+    # 2, the one even prime, has no flag: it heads the range's first pair.
+    prev = 2 if lo <= 2 < hi else None
+    for base, flags in windows(lo, hi, segment_width):
         i = flags.find(1)
         while i >= 0:
+            q = base + 2 * i
             if prev is not None:
-                yield prev, window_lo + i
-            prev = window_lo + i
+                yield prev, q
+            prev = q
             i = flags.find(1, i + 1)
     if prev is not None:
         yield prev, next_prime_above(prev)

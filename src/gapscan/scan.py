@@ -249,8 +249,17 @@ def scan_chunk(
     and bg3 / bp2 is the best g**3 / p**2 so far.  Each term only grows
     with P and with the state, so a pair with p >= P > 2 and g <= t neither
     sets a gap record, nor beats the best ratio (g**3 * bp2 <= bg3 * p**2),
-    and has g**2 < 8p.  A gap above t is a run of at least t zero flags, so
-    the zero-run search finds exactly the pairs to evaluate.
+    and has g**2 < 8p.
+
+    The flags are odd-only (`primes.sieve_range`), so 2 has none: when
+    lo <= 2 < hi, 2 is counted here and opens the chunk's first pair, (2, 3),
+    which is evaluated like a window-crossing pair (or as the last pair when
+    hi = 3).  Odd primes p < q sit
+    g / 2 flags apart, with g / 2 - 1 zero flags between them, and g is
+    even, so g > t exactly when g >= 2 * (t >> 1) + 2, that is, when
+    g / 2 - 1 >= t >> 1.  The first run of t >> 1 zero flags past P's flag
+    therefore starts right after the first prime at or past P whose gap
+    exceeds t, and the zero-run search finds exactly the pairs to evaluate.
 
     Lemma: for odd p < q with g = q - p, b = g / 2 and g**2 < 8p, every
     check passes, and COR_PRODUCT vacuously.  b**2 = g**2 / 4 < 2p < 2q,
@@ -310,29 +319,31 @@ def scan_chunk(
     pairs = len(FED_PAIRS)
 
     prev = None  # the last prime of the windows so far; its pair is open
-    for window_lo, flags in walk:
+    if lo <= 2 < hi:
+        pairs += 1
+        prev = 2
+    for base, flags in walk:
         i = flags.find(1)
         if i < 0:
             continue
         pairs += flags.count(1)
         if prev is not None:
-            evaluate(prev, window_lo + i)
+            evaluate(prev, base + 2 * i)
         last = flags.rfind(1)
         # i indexes the prime P whose pair is the next one undecided.
         while True:
-            p = window_lo + i
-            if p == 2 or not bp2:  # the pair at 2, or nothing evaluated yet
+            p = base + 2 * i
+            if not bp2:  # nothing evaluated yet
                 t = 0
             else:
                 t = min(best_gap, isqrt(8 * p - 1), _icbrt(bg3 * p * p // bp2))
-            # The first run of t zeros from i + 1 starts right after the
-            # first prime at or past P whose gap exceeds t.
-            z = flags.find(bytes(t), i + 1, last)
+            run = t >> 1
+            z = flags.find(bytes(run), i + 1, last)
             if z < 0:
                 break
-            i = flags.find(1, z + t)
-            evaluate(window_lo + z - 1, window_lo + i)
-        prev = window_lo + last
+            i = flags.find(1, z + run)
+            evaluate(base + 2 * (z - 1), base + 2 * i)
+        prev = base + 2 * last
     if prev is not None:
         evaluate(prev, primes.next_prime_above(prev))
 

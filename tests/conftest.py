@@ -1,18 +1,20 @@
 """Shared test oracles and fixtures, implemented independently of the
 package code.
 
-The sieve here uses an odd-only bitmap (the package sieves full byte
-ranges), and primality falls back to trial division, so agreement between
-the two sides is meaningful.  `reference_scan` is the plain every-pair
-scan that `scan_chunk`'s shortcut must equal.  The `crafted_pairs` fixture
-feeds chosen non-genuine pairs to the scan, which is how the failure and
-exit-code paths are reached: genuine consecutive primes never fail a claim.
+The sieve here keeps one flag byte per number (the package sieves odd
+numbers only, from a presieved pattern), and primality falls back to trial
+division, so agreement between the two sides is meaningful.
+`reference_scan` is the plain every-pair scan that `scan_chunk`'s shortcut
+must equal.  The `crafted_pairs` fixture feeds chosen non-genuine pairs to
+the scan, which is how the failure and exit-code paths are reached:
+genuine consecutive primes never fail a claim.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, compress
+from math import isqrt
 from typing import Callable, Iterable, Iterator
 
 import pytest
@@ -58,41 +60,26 @@ def trial_division_primes(lo: int, hi: int) -> list[int]:
     return [n for n in range(lo, hi) if trial_division_is_prime(n)]
 
 
-def oracle_primes_below(limit: int) -> list[int]:
-    """All primes < limit via an odd-only bitmap sieve."""
-    if limit <= 2:
-        return []
-    size = limit // 2  # index i <-> odd value 2i + 1
+def _oracle_flags(limit: int) -> bytearray:
+    """flags[n] is 1 exactly when n < limit is prime: a plain sieve of
+    Eratosthenes, one byte per number."""
+    size = max(limit, 2)
     flags = bytearray(b"\x01") * size
-    flags[0] = 0
-    i = 1
-    while True:
-        v = 2 * i + 1
-        if v * v >= limit:
-            break
-        if flags[i]:
-            start = (v * v) // 2
-            flags[start::v] = bytearray((size - start + v - 1) // v)
-        i += 1
-    return [2] + [2 * i + 1 for i in range(1, size) if flags[i]]
+    flags[:2] = b"\x00\x00"
+    for p in range(2, isqrt(size - 1) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytes(len(range(p * p, size, p)))
+    del flags[limit:]
+    return flags
+
+
+def oracle_primes_below(limit: int) -> list[int]:
+    """All primes < limit, by the one-byte-per-number oracle sieve."""
+    return list(compress(range(limit), _oracle_flags(limit)))
 
 
 def oracle_count_primes_below(limit: int) -> int:
-    if limit <= 2:
-        return 0
-    size = limit // 2
-    flags = bytearray(b"\x01") * size
-    flags[0] = 0
-    i = 1
-    while True:
-        v = 2 * i + 1
-        if v * v >= limit:
-            break
-        if flags[i]:
-            start = (v * v) // 2
-            flags[start::v] = bytearray((size - start + v - 1) // v)
-        i += 1
-    return flags.count(1) + 1
+    return _oracle_flags(limit).count(1)
 
 
 def oracle_gap_records(primes: list[int], stop: int) -> list[tuple[int, int]]:
@@ -146,13 +133,20 @@ def count_odd_multiples(d: int, lo: int, hi: int) -> int:
     return (hi // d + 1) // 2 - (lo // d + 1) // 2
 
 
-def flagged_primes(lo: int, flags: bytearray) -> Iterator[int]:
-    """Yield the primes flagged in the sieve flags of a window starting at
-    lo, in increasing order."""
+def flagged_primes(base: int, flags: bytearray) -> Iterator[int]:
+    """Yield the primes flagged in odd-only sieve flags whose index i stands
+    for base + 2i, in increasing order.  2 is never flagged."""
     idx = flags.find(1)
     while idx >= 0:
-        yield lo + idx
+        yield base + 2 * idx
         idx = flags.find(1, idx + 1)
+
+
+def sieved_is_prime(lo: int, flags: bytearray, n: int) -> bool:
+    """What the odd-only sieve flags of a range starting at lo say of n in
+    that range: an odd n's flag, and for an even n the rule that 2 is the
+    only even prime."""
+    return bool(flags[(n - (lo | 1)) >> 1]) if n & 1 else n == 2
 
 
 def stream_consecutive_pairs(

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import inspect
 import random
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gapscan.claims
+import gapscan.primes
+import gapscan.scan
 from gapscan.errors import InvalidRangeError, RangeTooLargeError
 from gapscan.primes import (
     MAX_SIEVE_WIDTH,
@@ -20,14 +25,21 @@ from gapscan.primes import (
 from conftest import (
     flagged_primes,
     oracle_count_primes_below,
+    sieved_is_prime,
     stream_consecutive_pairs,
     trial_division_is_prime,
     trial_division_primes,
 )
 
 
+def with_two(lo: int, hi: int, odd_primes: list[int]) -> list[int]:
+    """The primes of [lo, hi): 2 has no sieve flag, so every consumer adds
+    it by the same rule when the range holds it."""
+    return [2] * (lo <= 2 < hi) + odd_primes
+
+
 def segment_primes(lo: int, hi: int) -> list[int]:
-    return list(flagged_primes(lo, sieve_range(lo, hi)))
+    return with_two(lo, hi, list(flagged_primes(lo | 1, sieve_range(lo, hi))))
 
 
 class TestSieveRange:
@@ -49,11 +61,27 @@ class TestSieveRange:
         )
 
     def test_flag_semantics(self):
-        flags = sieve_range(10, 30)
-        assert flags[11 - 10] and flags[29 - 10]
-        assert not flags[21 - 10]
-        assert len(flags) == 20  # 9 lies outside the window
+        flags = sieve_range(10, 30)  # flags[i] stands for 11 + 2i
+        assert flags[(11 - 11) // 2] and flags[(29 - 11) // 2]
+        assert not flags[(21 - 11) // 2]
+        assert len(flags) == 10  # 9 and every even number lie outside
         assert flags.count(1) == 6
+
+    @pytest.mark.parametrize(
+        "lo, hi, base, flags",
+        [
+            (0, 3, 1, b"\x00"),  # 1 is not prime, and 2 has no flag
+            (1, 2, 1, b"\x00"),
+            (2, 3, 3, b""),  # no odd number at all
+            (2, 4, 3, b"\x01"),
+            (3, 4, 3, b"\x01"),
+            (10, 17, 11, b"\x01\x01\x00"),  # starts at an even number
+            (24, 32, 25, b"\x00\x00\x01\x01"),
+        ],
+    )
+    def test_odd_only_flags_at_the_edges(self, lo, hi, base, flags):
+        assert sieve_range(lo, hi) == flags
+        assert list(windows(lo, hi)) == [(base, flags)]
 
     def test_rejects_empty_range(self):
         with pytest.raises(InvalidRangeError):
@@ -83,8 +111,9 @@ class TestSieveRange:
         for _ in range(12):
             lo = rng.randrange(2, 10**12 - 10**4)
             flags = sieve_range(lo, lo + 10**4)
-            for offset, flag in enumerate(flags):
-                assert bool(flag) == is_prime(lo + offset)
+            assert len(flags) == 5000
+            for n in range(lo, lo + 10**4):
+                assert sieved_is_prime(lo, flags, n) == is_prime(n)
 
 
 class TestWindows:
@@ -97,17 +126,32 @@ class TestWindows:
     def test_windows_cover_the_range_with_true_flags(self, lo, span, width):
         hi = lo + span
         walk = list(windows(lo, hi, width))
-        assert walk[0][0] == lo
-        for (window_lo, flags), (next_lo, _) in zip(walk, walk[1:]):
-            assert window_lo + len(flags) == next_lo
-        assert walk[-1][0] + len(walk[-1][1]) == hi
-        assert all(1 <= len(flags) <= width for _, flags in walk)
+        assert walk[0][0] == lo | 1
+        for (base, flags), (next_base, _) in zip(walk, walk[1:]):
+            assert base + 2 * len(flags) == next_base
+        assert walk[-1][0] + 2 * len(walk[-1][1]) == hi | 1
+        assert len(walk) == -(-span // width)
+        assert all(len(flags) <= (width + 1) // 2 for _, flags in walk)
         found = [p for w in walk for p in flagged_primes(*w)]
-        assert found == trial_division_primes(lo, hi)
+        assert with_two(lo, hi, found) == trial_division_primes(lo, hi)
+
+    @pytest.mark.parametrize("width", [1, 7])
+    @pytest.mark.parametrize("lo", [0, 1, 2, 3, 10, 11])
+    def test_bases_stay_odd_as_window_starts_change_parity(self, lo, width):
+        hi = lo + 60
+        starts = range(lo, hi, width)
+        walk = list(windows(lo, hi, width))
+        assert [base for base, _ in walk] == [s | 1 for s in starts]
+        assert [len(flags) for _, flags in walk] == [
+            len(range(s | 1, min(s + width, hi), 2)) for s in starts
+        ]
+        found = [p for w in walk for p in flagged_primes(*w)]
+        assert with_two(lo, hi, found) == trial_division_primes(lo, hi)
 
     def test_default_width_is_segment_width(self):
-        assert [len(flags) for _, flags in windows(0, SEGMENT_WIDTH + 5)] == [
-            SEGMENT_WIDTH, 5,
+        walk = windows(0, SEGMENT_WIDTH + 5)
+        assert [(base, len(flags)) for base, flags in walk] == [
+            (1, SEGMENT_WIDTH // 2), (SEGMENT_WIDTH + 1, 2),
         ]
 
     def test_rejects_empty_range_at_the_call(self):
@@ -115,6 +159,39 @@ class TestWindows:
             windows(30, 30)
         with pytest.raises(InvalidRangeError):
             windows(30, 10, 4)
+
+
+class TestBasePrimeCache:
+    @pytest.mark.parametrize("x", [10**7, 37**4, 10**12, 10**12 + 39])
+    def test_one_number_window_fills_the_cache(self, monkeypatch, x):
+        # A one-number window warms the base primes every window ending near
+        # x needs, also when x is even and the window holds no odd number.
+        # At x = 37**4 the cache's limit is 37**2, which its sieve must strike.
+        monkeypatch.setattr(gapscan.primes, "_small_primes_cache", [])
+        monkeypatch.setattr(gapscan.primes, "_small_primes_limit", 0)
+        sieve_range(x, x + 1)
+        limit = gapscan.primes._small_primes_limit
+        assert limit >= isqrt(x)
+        cache = gapscan.primes._small_primes_cache
+        assert cache[:5] == [3, 5, 7, 11, 13]
+        assert len(cache) == oracle_count_primes_below(limit + 1) - 1  # 2 left out
+
+
+class TestTracedNames:
+    def test_names_the_benchmark_tracer_wraps(self):
+        # perfbench/tracing.py wraps these four by name, and counts hi - lo
+        # numbers per sieve_range call.
+        for module, name in [
+            (gapscan.primes, "sieve_range"),
+            (gapscan.claims, "sieve_range"),
+            (gapscan.primes, "next_prime_above"),
+            (gapscan.scan, "iter_consecutive_pairs"),
+        ]:
+            assert callable(getattr(module, name)), f"{module.__name__}.{name}"
+        params = inspect.signature(gapscan.primes.sieve_range).parameters.values()
+        assert [p.kind for p in params] == [inspect.Parameter.POSITIONAL_OR_KEYWORD] * 2
+        assert len(gapscan.primes.sieve_range(10, 30)) == 10
+        assert len(gapscan.claims.sieve_range(10, 30)) == 10
 
 
 class TestIsPrime:
@@ -180,6 +257,14 @@ class TestConsecutivePairs:
         assert list(iter_consecutive_pairs(2, 12)) == [
             (2, 3), (3, 5), (5, 7), (7, 11), (11, 13),
         ]
+
+    @pytest.mark.parametrize("width", [1, 2, 7])
+    def test_pairs_from_two_at_narrow_widths(self, width):
+        assert next(iter_consecutive_pairs(2, 10)) == (2, 3)
+        assert list(iter_consecutive_pairs(2, 12, segment_width=width)) == [
+            (2, 3), (3, 5), (5, 7), (7, 11), (11, 13),
+        ]
+        assert list(iter_consecutive_pairs(2, 3, segment_width=width)) == [(2, 3)]
 
     def test_primeless_window_emits_nothing(self):
         assert trial_division_primes(90, 97) == []

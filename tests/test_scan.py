@@ -198,6 +198,16 @@ class TestReferenceEquality:
         assert width > 16 or max(r.g for r in report.gap_records) > 2 * width
         assert report == reference_scan(lo, hi)
 
+    @pytest.mark.parametrize("width", [1, 7])
+    @pytest.mark.parametrize(
+        "lo, hi", [(2, 3), (2, 4), (3, 4), (2, 200), (3, 200), (4, 200)]
+    )
+    def test_two_and_windows_without_odd_numbers(self, monkeypatch, width, lo, hi):
+        # 2 has no sieve flag but opens the first pair of a range holding
+        # it, and at width 1 every other window holds no odd number.
+        monkeypatch.setattr(gapscan.scan, "SEGMENT_WIDTH", width)
+        assert full_scan(lo, hi) == reference_scan(lo, hi)
+
     @given(
         fed=st.lists(
             st.tuples(st.just(2), st.integers(min_value=-200, max_value=200))
