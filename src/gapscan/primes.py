@@ -13,6 +13,11 @@ flag, so every consumer counts it by its own explicit rule whenever
 lo <= 2 < hi.  A window's flags start as a rotation of a fixed pattern
 with every multiple of 3, 5, 7, 11 and 13 struck, tiled from one period
 of 15015 odd numbers, so the base-prime loop starts at 17.
+
+The base primes that the windows strike with come from the same window
+sieve: one ordered list, grown in place in steps of at most SEGMENT_WIDTH
+numbers, each step struck by the primes the list already holds.  A window
+ending at hi still keeps the pi(isqrt(hi - 1)) base primes as Python ints.
 """
 
 from __future__ import annotations
@@ -55,28 +60,32 @@ def _presieve_pattern() -> bytearray:
 
 _PATTERN = _presieve_pattern()
 
-_small_primes_cache: list[int] = []
-_small_primes_limit = 0
+# The odd primes <= _base_limit, in order: the base primes every window
+# strikes with.  `_odd_primes_to` grows them with the window sieve itself.
+_base_primes: list[int] = list(_PRESIEVED)
+_base_limit = _PRESIEVED[-1]
 
 
-def _small_primes(limit: int) -> list[int]:
-    """The odd primes <= limit (2 is left out) via an odd-only sieve, cached
-    and grown monotonically."""
-    global _small_primes_cache, _small_primes_limit
-    if limit <= _small_primes_limit:
-        return _small_primes_cache
-    limit = max(limit, 1 << 10)
-    size = (limit + 1) >> 1  # flags[j] stands for the odd number 2j + 1
-    flags = bytearray(b"\x01") * size
-    flags[0] = 0
-    for j in range(1, (isqrt(limit) + 1) >> 1):
-        if flags[j]:
-            p = 2 * j + 1
-            start = p * p >> 1
-            flags[start::p] = bytes((size - 1 - start) // p + 1)
-    _small_primes_cache = list(compress(range(1, limit + 1, 2), flags))
-    _small_primes_limit = limit
-    return _small_primes_cache
+def _odd_primes_to(limit: int) -> list[int]:
+    """The base-prime list, grown in place until it holds every odd prime
+    <= limit (2 is left out); it may hold more.
+
+    Each step sieves the next window [_base_limit + 1, top] with
+    top <= min(limit, _base_limit**2, _base_limit + SEGMENT_WIDTH): its
+    composites all have an odd prime factor <= isqrt(top) <= _base_limit,
+    so the primes the list already holds strike them.  The step trims any
+    entry past _base_limit, which an interrupted step may have left, before
+    it extends the list, so the list stays sorted and exact.
+    """
+    global _base_limit
+    while _base_limit < limit:
+        lo = _base_limit + 1
+        top = min(limit, _base_limit * _base_limit, _base_limit + SEGMENT_WIDTH)
+        flags = _sieve(lo, top + 1)
+        del _base_primes[bisect_right(_base_primes, _base_limit) :]
+        _base_primes.extend(compress(range(lo | 1, top + 1, 2), flags))
+        _base_limit = top
+    return _base_primes
 
 
 def sieve_range(lo: int, hi: int) -> bytearray:
@@ -97,8 +106,12 @@ def sieve_range(lo: int, hi: int) -> bytearray:
     Every odd composite below hi has an odd prime factor <= isqrt(hi - 1),
     so exactly the odd primes survive, except that each struck prime inside
     the range was struck at itself, its first odd multiple, and 1 was never
-    struck; both are set right at the end.  Fills the base-prime cache up
-    to isqrt(hi - 1) even when the range holds no odd number.
+    struck; both are set right at the end.
+
+    The base primes come from this same sieve: they are grown, up to
+    isqrt(hi - 1), in windows of at most SEGMENT_WIDTH numbers past the
+    largest one found so far, and kept as a list of pi(isqrt(hi - 1))
+    Python ints.  They are grown even when the range holds no odd number.
     """
     if lo >= hi:
         raise InvalidRangeError(f"empty or reversed range [{lo}, {hi})")
@@ -109,11 +122,16 @@ def sieve_range(lo: int, hi: int) -> bytearray:
         raise RangeTooLargeError(
             f"width {width} exceeds {MAX_SIEVE_WIDTH}; chunk the range"
         )
+    return _sieve(lo, hi)
 
+
+def _sieve(lo: int, hi: int) -> bytearray:
+    """`sieve_range` without its checks; base-prime growth calls it, so a
+    wrapper on the module's `sieve_range` sees only the callers' windows."""
     base = lo | 1
     n = (hi - base + 1) >> 1
     root = isqrt(hi - 1)
-    odd_primes = _small_primes(root)
+    odd_primes = _odd_primes_to(root)
     struck = max(bisect_right(odd_primes, root), len(_PRESIEVED))
 
     k = base >> 1

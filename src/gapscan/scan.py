@@ -246,10 +246,12 @@ def scan_chunk(
     one takes its successor from `next_prime_above`), and every pair whose
     gap g exceeds t = min(best gap so far, isqrt(8P - 1),
     icbrt(bg3 * P**2 // bp2)), where P is the prime the search starts from
-    and bg3 / bp2 is the best g**3 / p**2 so far.  Each term only grows
-    with P and with the state, so a pair with p >= P > 2 and g <= t neither
-    sets a gap record, nor beats the best ratio (g**3 * bp2 <= bg3 * p**2),
-    and has g**2 < 8p.
+    and bg3 / bp2 is the g_cubed / p_squared of the best `RatioRecord` so
+    far by `RatioRecord.beats` (one with g_cubed = 0 yields to the next
+    pair and is reported as null).  Each term only grows with P and with
+    the state, so a pair with p >= P > 2 and g <= t neither sets a gap
+    record, nor beats the best ratio (g**3 * bp2 <= bg3 * p**2), and has
+    g**2 < 8p.
 
     The flags are odd-only (`primes.sieve_range`), so 2 has none: when
     lo <= 2 < hi, 2 is counted here and opens the chunk's first pair, (2, 3),
@@ -286,18 +288,19 @@ def scan_chunk(
     hist: dict[int, int] = {}
     gap_records: list[GapRecord] = []
     best_gap = 0
-    bg3 = bp2 = best_p = best_g = 0
+    best: RatioRecord | None = None
     evaluated = 0
 
     def evaluate(p: int, q: int) -> None:
-        nonlocal best_gap, bg3, bp2, best_p, best_g, evaluated
+        nonlocal best_gap, best, evaluated
         evaluated += 1
         g = q - p
         if g > best_gap:
             best_gap = g
             gap_records.append(GapRecord(p=p, g=g))
-        if bg3 == 0 or g * g * g * bp2 > bg3 * p * p:
-            bg3, bp2, best_p, best_g = g * g * g, p * p, p, g
+        ratio = RatioRecord(g_cubed=g * g * g, p_squared=p * p, p=p, g=g)
+        if best is None or not best.g_cubed or ratio.beats(best):
+            best = ratio
         pair = PrimePair(p=p, q=q, g=g, m=p + (g >> 1), b=g >> 1)
         record = None
         if p != 2:
@@ -333,10 +336,10 @@ def scan_chunk(
         # i indexes the prime P whose pair is the next one undecided.
         while True:
             p = base + 2 * i
-            if not bp2:  # nothing evaluated yet
-                t = 0
-            else:
-                t = min(best_gap, isqrt(8 * p - 1), _icbrt(bg3 * p * p // bp2))
+            t = 0  # while nothing is evaluated
+            if best is not None:
+                bar = _icbrt(best.g_cubed * p * p // best.p_squared)
+                t = min(best_gap, isqrt(8 * p - 1), bar)
             run = t >> 1
             z = flags.find(bytes(run), i + 1, last)
             if z < 0:
@@ -359,17 +362,13 @@ def scan_chunk(
     if discharged:
         hist[0] = hist.get(0, 0) + discharged
 
-    max_ratio = None
-    if bg3:
-        max_ratio = RatioRecord(g_cubed=bg3, p_squared=bp2, p=best_p, g=best_g)
-
     return ScanReport(
         start=lo,
         stop=hi,
         pairs_checked=pairs,
         per_claim=per_claim,
         violations=violations,
-        max_ratio=max_ratio,
+        max_ratio=best if best is not None and best.g_cubed else None,
         gap_records=gap_records,
         c_histogram=hist,
         violation_cap=violation_cap,

@@ -2,15 +2,18 @@ from __future__ import annotations
 
 import inspect
 import random
+from itertools import islice
 from math import isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gapscan
 import gapscan.claims
 import gapscan.primes
 import gapscan.scan
+from gapscan.claims import CUBE_WINDOW, check_cube_interval
 from gapscan.errors import InvalidRangeError, RangeTooLargeError
 from gapscan.primes import (
     MAX_SIEVE_WIDTH,
@@ -25,6 +28,7 @@ from gapscan.primes import (
 from conftest import (
     flagged_primes,
     oracle_count_primes_below,
+    oracle_primes_below,
     sieved_is_prime,
     stream_consecutive_pairs,
     trial_division_is_prime,
@@ -161,20 +165,95 @@ class TestWindows:
             windows(30, 10, 4)
 
 
+@pytest.fixture
+def cold_store(monkeypatch):
+    """The base-prime store in its seed state, the odd primes <= 13, for one
+    test; the warm store comes back after it."""
+    monkeypatch.setattr(gapscan.primes, "_base_primes", [3, 5, 7, 11, 13])
+    monkeypatch.setattr(gapscan.primes, "_base_limit", 13)
+
+
+def assert_exact_store() -> None:
+    """The store holds exactly the odd primes <= its limit, in order."""
+    store = gapscan.primes._base_primes
+    assert store == oracle_primes_below(gapscan.primes._base_limit + 1)[1:]
+
+
+def count_calls(monkeypatch, module, name: str) -> list[tuple[int, int]]:
+    """Wrap module.name, as the benchmark tracer does, and return the list
+    of (lo, hi) it is called with."""
+    calls = []
+    inner = getattr(module, name)
+
+    def counted(lo, hi):
+        calls.append((lo, hi))
+        return inner(lo, hi)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 class TestBasePrimeCache:
     @pytest.mark.parametrize("x", [10**7, 37**4, 10**12, 10**12 + 39])
-    def test_one_number_window_fills_the_cache(self, monkeypatch, x):
+    def test_one_number_window_fills_the_cache(self, cold_store, x):
         # A one-number window warms the base primes every window ending near
         # x needs, also when x is even and the window holds no odd number.
-        # At x = 37**4 the cache's limit is 37**2, which its sieve must strike.
-        monkeypatch.setattr(gapscan.primes, "_small_primes_cache", [])
-        monkeypatch.setattr(gapscan.primes, "_small_primes_limit", 0)
+        # At x = 37**4 the store's limit is 37**2, which its sieve must strike.
         sieve_range(x, x + 1)
-        limit = gapscan.primes._small_primes_limit
+        limit = gapscan.primes._base_limit
         assert limit >= isqrt(x)
-        cache = gapscan.primes._small_primes_cache
+        cache = gapscan.primes._base_primes
         assert cache[:5] == [3, 5, 7, 11, 13]
         assert len(cache) == oracle_count_primes_below(limit + 1) - 1  # 2 left out
+
+    def test_many_small_steps_keep_the_store_exact(self, cold_store):
+        for n in range(1, 201):
+            check_cube_interval(n)
+        assert gapscan.primes._base_limit >= isqrt(201**3 - 1)
+        assert_exact_store()
+
+    def test_growth_over_several_segment_widths(self, monkeypatch, cold_store):
+        steps = count_calls(monkeypatch, gapscan.primes, "_sieve")
+        sieve_range(10**14, 10**14 + 1)
+        assert gapscan.primes._base_limit == 10**7
+        assert len(steps) > 10**7 // SEGMENT_WIDTH
+        assert all(hi - lo <= SEGMENT_WIDTH for lo, hi in steps[1:])
+        assert_exact_store()
+
+    @pytest.mark.parametrize("torn", [False, True])
+    def test_interrupted_growth_leaves_an_exact_store(
+        self, monkeypatch, cold_store, torn
+    ):
+        # The second call of the private body is the first growth step.  It
+        # raises before the store changes, or (torn) half-way through
+        # extending it, as a MemoryError inside list.extend would.
+        sieve = gapscan.primes._sieve
+        calls = 0
+
+        class TornFlags(bytearray):
+            def __iter__(self):
+                yield from islice(super().__iter__(), len(self) // 2)
+                raise MemoryError
+
+        def interrupted(lo, hi):
+            nonlocal calls
+            calls += 1
+            if calls != 2:
+                return sieve(lo, hi)
+            if not torn:
+                raise KeyboardInterrupt
+            return TornFlags(sieve(lo, hi))
+
+        monkeypatch.setattr(gapscan.primes, "_sieve", interrupted)
+        with pytest.raises(MemoryError if torn else KeyboardInterrupt):
+            sieve_range(10**12, 10**12 + 1)
+        assert gapscan.primes._base_limit == 13
+        if torn:  # the torn step left primes past the limit
+            assert len(gapscan.primes._base_primes) > 5
+        flags = sieve_range(10**12, 10**12 + 10**4)
+        assert gapscan.primes._base_limit == isqrt(10**12 + 10**4 - 1)
+        assert_exact_store()
+        assert flags.count(1) == sum(map(is_prime, range(10**12, 10**12 + 10**4)))
 
 
 class TestTracedNames:
@@ -192,6 +271,37 @@ class TestTracedNames:
         assert [p.kind for p in params] == [inspect.Parameter.POSITIONAL_OR_KEYWORD] * 2
         assert len(gapscan.primes.sieve_range(10, 30)) == 10
         assert len(gapscan.claims.sieve_range(10, 30)) == 10
+        # perfbench/ reads these from the package root.
+        for name in [
+            "ScanConfig", "run_scan", "plan_chunks", "scan_chunk", "make_pair",
+            "compute_record", "PrimePair", "check_cube_interval", "is_prime",
+            "sieve_range", "iter_consecutive_pairs",
+        ]:
+            assert hasattr(gapscan, name), f"gapscan.{name}"
+        for module in ("primes", "claims", "scan"):
+            assert hasattr(gapscan, module), f"gapscan.{module}"
+
+    @pytest.mark.parametrize("n", [1, 3000])
+    def test_cube_interval_calls_the_traced_name_once_per_window(
+        self, monkeypatch, cold_store, n
+    ):
+        # Base-prime growth sieves through the private body, so the traced
+        # name counts the cube windows and nothing else.
+        calls = count_calls(monkeypatch, gapscan.primes, "sieve_range")
+        check_cube_interval(n)
+        lo, hi = n**3 + 1, (n + 1) ** 3
+        assert calls == [
+            (w, min(w + CUBE_WINDOW, hi)) for w in range(lo, hi, CUBE_WINDOW)
+        ]
+        assert len(calls) == (2 if n == 3000 else 1)
+
+    def test_one_number_window_calls_the_traced_name_once(
+        self, monkeypatch, cold_store
+    ):
+        calls = count_calls(monkeypatch, gapscan.primes, "sieve_range")
+        gapscan.primes.sieve_range(10**12 + 39, 10**12 + 40)
+        assert calls == [(10**12 + 39, 10**12 + 40)]
+        assert gapscan.primes._base_limit == 10**6
 
 
 class TestIsPrime:
