@@ -23,8 +23,9 @@ ending at hi still keeps the pi(isqrt(hi - 1)) base primes as Python ints.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from itertools import compress, islice
+from itertools import compress, islice, repeat
 from math import isqrt
+from operator import mod
 from typing import Iterator
 
 from .errors import InvalidRangeError, RangeTooLargeError
@@ -38,8 +39,13 @@ SEGMENT_WIDTH = 1 << 20
 # flags).
 MAX_SIEVE_WIDTH = 1 << 28
 
-# Witness set proven deterministic for every n < 2**64 (covers well past it).
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The primes `is_prime` tries as divisors before its Miller-Rabin rounds.
+_TRIAL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# Sinclair's witness set, deterministic for every n < 2**64 when each base is
+# reduced mod n and a base that is 0 mod n is skipped
+# (https://miller-rabin.appspot.com).
+_MR_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 
 # The odd primes whose multiples the pattern strikes; it repeats every
 # _PERIOD odd numbers.
@@ -100,9 +106,22 @@ def sieve_range(lo: int, hi: int) -> bytearray:
     The flags start as one period of `_PATTERN` from index
     (base >> 1) mod 15015, where base = lo | 1, repeated to length: every
     multiple of 3, 5, 7, 11 and 13 is struck.  Each odd base prime p from
-    17 to isqrt(hi - 1) then strikes every p-th flag from its first odd
-    multiple at or past base, at index i = ((p >> 1) - (base >> 1)) mod p:
-    base + 2i = 2((base >> 1) + i) + 1 is then 2(p >> 1) + 1 = p modulo p.
+    17 to isqrt(hi - 1) then strikes its odd multiples in the range, and
+    the loop splits at the range's span of 2n numbers, n = len(flags):
+
+    - A prime p < 2n strikes every p-th flag from its first odd multiple
+      at or past base, at index i = ((p >> 1) - (base >> 1)) mod p:
+      base + 2i = 2((base >> 1) + i) + 1 is then 2(p >> 1) + 1 = p
+      modulo p.
+    - A prime p >= 2n strikes at most one flag.  Let last = base + 2(n - 1)
+      and r = last mod p.  [base, last] holds 2n - 1 < p integers, so at
+      most one multiple of p; if it holds one, that is last - r, which is
+      in range exactly when r <= 2n - 2.  last is odd, so last - r is odd
+      exactly when r is even.  The range thus holds an odd multiple of p
+      exactly when r is even and r < 2n, and its flag is n - 1 - r/2.
+      Each such prime costs one remainder, streamed from the base-prime
+      list.
+
     Every odd composite below hi has an odd prime factor <= isqrt(hi - 1),
     so exactly the odd primes survive, except that each struck prime inside
     the range was struck at itself, its first odd multiple, and 1 was never
@@ -139,10 +158,18 @@ def _sieve(lo: int, hi: int) -> bytearray:
     flags = _PATTERN[offset : offset + _PERIOD] * -(-n // _PERIOD)
     del flags[n:]
 
-    for p in islice(odd_primes, len(_PRESIEVED), struck):
+    span = 2 * n
+    wide = bisect_left(odd_primes, span, len(_PRESIEVED), struck)
+    for p in islice(odd_primes, len(_PRESIEVED), wide):
         i = ((p >> 1) - k) % p
-        if i < n:  # high up, most base primes have no multiple in range
-            flags[i::p] = bytes((n - 1 - i) // p + 1)
+        if i < n:
+            # A bytearray value is assigned without an intermediate copy.
+            flags[i::p] = bytearray((n - 1 - i) // p + 1)
+
+    last = base + span - 2
+    for r in map(mod, repeat(last), islice(odd_primes, wide, struck)):
+        if r < span and not r & 1:  # p has one odd multiple in range
+            flags[n - 1 - (r >> 1)] = 0
 
     for p in islice(odd_primes, bisect_left(odd_primes, base), struck):
         if p < hi:
@@ -160,16 +187,19 @@ def is_prime(n: int) -> bool:
     """
     if n < 2:
         return False
-    for p in _MR_BASES:
+    for p in _TRIAL_PRIMES:
         if n % p == 0:
             return n == p
-    # n is now odd, > 37, and coprime to all witnesses.
+    # n is now odd and > 37.
     d = n - 1
     r = 0
     while d % 2 == 0:
         d //= 2
         r += 1
     for a in _MR_BASES:
+        a %= n
+        if a == 0:
+            continue
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

@@ -120,6 +120,86 @@ class TestSieveRange:
                 assert sieved_is_prime(lo, flags, n) == is_prime(n)
 
 
+def assert_true_flags(lo: int, hi: int) -> bytearray:
+    """sieve_range(lo, hi) flags every odd number of [lo, hi) as is_prime
+    does, and the flags are returned."""
+    flags = sieve_range(lo, hi)
+    assert list(flags) == [is_prime(x) for x in range(lo | 1, hi, 2)]
+    return flags
+
+
+def odd_multiple_struck_only_by(p: int) -> int:
+    """p times the next prime above it: odd, and no base prime but p divides
+    it, so only p's own strike keeps it from being flagged prime."""
+    return p * next_prime_above(p)
+
+
+def even_multiple_below_a_prime(p: int) -> int:
+    """An even multiple m of p, past p**2, with m + 1 prime: a strike at the
+    wrong parity, which lands on m + 1, shows as a missing prime."""
+    m = p * (p + 1)
+    while not is_prime(m + 1):
+        m += 2 * p
+    return m
+
+
+class TestLargeBasePrimes:
+    """A base prime p >= 2n, n = len(flags), strikes at most one flag; the
+    flag is found from r = last mod p, where last = base + 2(n - 1)."""
+
+    @pytest.mark.parametrize("p", [10007, 65537, 1000003])
+    def test_odd_multiple_at_the_first_and_the_last_flag(self, p):
+        m = odd_multiple_struck_only_by(p)
+        for width in sorted({1, 2, 3, 64, min(p - 1, 20000)}):
+            for lo in (m, m - 1):  # the first flag, from an odd or even lo
+                flags = assert_true_flags(lo, m + width)
+                assert 2 * len(flags) <= p and flags[0] == 0
+            for hi in (m + 1, m + 2):  # the last flag, to an odd or even hi
+                flags = assert_true_flags(m + 1 - width, hi)
+                assert 2 * len(flags) <= p and flags[-1] == 0
+
+    @pytest.mark.parametrize("p", [10007, 65537, 1000003])
+    def test_window_whose_one_multiple_is_even_strikes_nothing(self, p):
+        m = even_multiple_below_a_prime(p)
+        for width in sorted({3, 4, 64, min(p - 1, 20000)}):
+            lo = m - width // 2
+            flags = assert_true_flags(lo, lo + width)
+            assert 2 * len(flags) <= p
+            assert flags[(m + 1 - (lo | 1)) >> 1] == 1
+
+    @pytest.mark.parametrize("p", [10007, 65537])
+    def test_threshold_windows_with_last_one_past_a_multiple(self, p):
+        # last = 1 (mod p): last - 1 is an even multiple of p, and
+        # last - 1 - p is odd and in range exactly when p <= 2n - 3.
+        base = odd_multiple_struck_only_by(p)
+        flags = assert_true_flags(base, base + p + 2)
+        assert 2 * len(flags) - 3 == p
+        assert (base + 2 * len(flags) - 2) % p == 1 and flags[0] == 0
+        last = even_multiple_below_a_prime(p) + 1
+        for n in ((p + 1) // 2, (p - 1) // 2):  # p = 2n - 1 and p = 2n + 1
+            flags = assert_true_flags(last - 2 * (n - 1), last + 1)
+            assert len(flags) == n and flags[-1] == 1
+
+    @pytest.mark.parametrize("p", [10007, 65537, 1000003])
+    def test_window_holding_p_squared(self, p):
+        square = p * p
+        for lo, hi in [(square, square + 1), (square, square + 64),
+                       (square - 32, square + 32), (square - 63, square + 1)]:
+            flags = assert_true_flags(lo, hi)
+            assert 2 * len(flags) <= p
+            assert flags[(square - (lo | 1)) >> 1] == 0
+
+    @given(
+        lo=st.integers(min_value=10**12, max_value=10**13 - 1),
+        width=st.integers(min_value=1, max_value=4096),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_agrees_with_miller_rabin_at_height(self, lo: int, width: int):
+        # Almost every base prime below isqrt(10**13) is wider than the
+        # window, so nearly every strike takes the one-remainder path.
+        assert_true_flags(lo, lo + width)
+
+
 class TestWindows:
     @given(
         lo=st.integers(min_value=0, max_value=10**5),
@@ -330,6 +410,13 @@ class TestIsPrime:
     def test_large_known_primes(self):
         assert is_prime(2**61 - 1)
         assert is_prime(2**64 - 59)
+
+    def test_matches_trial_division_below_two_hundred_thousand(self):
+        # Covers n = 73, 193 and 14089, where the base 28178 is 0 mod n.
+        assert 28178 % 73 == 28178 % 193 == 28178 % 14089 == 0
+        assert [n for n in range(2 * 10**5) if is_prime(n)] == [
+            n for n in range(2 * 10**5) if trial_division_is_prime(n)
+        ]
 
     @given(n=st.integers(min_value=0, max_value=10**6))
     def test_matches_trial_division(self, n: int):
