@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Container
 
-from .midpoint import MidpointRecord, PrimePair
+from .midpoint import MidpointRecord, PrimePair, compute_record
 from .primes import UNIVERSE_LIMIT, windows
 # perfbench/tracing.py wraps gapscan.claims.sieve_range by name.
 from .primes import sieve_range  # noqa: F401
@@ -153,21 +153,24 @@ _RECORD_CHECKS = (
 
 
 def check_pair(
-    pair: PrimePair,
-    record: MidpointRecord | None,
-    claims: Container[ClaimId] = PAIR_CLAIMS,
-) -> list[ClaimOutcome]:
-    """Every check in `claims` on one pair, in PAIR_CLAIMS order.
+    p: int, q: int, claims: Container[ClaimId] = PAIR_CLAIMS
+) -> tuple[MidpointRecord | None, list[ClaimOutcome]]:
+    """The record of the pair (p, q) and every check in `claims` on it, in
+    PAIR_CLAIMS order.
 
-    `record` is compute_record(pair), or None for the pair at p = 2: it has
-    no integral midpoint, so it gets THEOREM_CUBE_BOUND alone.
+    The pair is taken as given, with m = p + (g >> 1) and b = g >> 1, so
+    crafted pairs reach the failure branches.  The pair at p = 2 has no
+    integral midpoint: its record is None and it gets THEOREM_CUBE_BOUND
+    alone.
     """
-    outcomes = []
-    if record is not None:
+    g = q - p
+    record, outcomes = None, []
+    if p != 2:
+        record = compute_record(PrimePair(p=p, q=q, g=g, m=p + (g >> 1), b=g >> 1))
         outcomes = [check(record) for claim, check in _RECORD_CHECKS if claim in claims]
     if ClaimId.THEOREM_CUBE_BOUND in claims:
-        outcomes.append(check_theorem(pair.p, pair.g))
-    return outcomes
+        outcomes.append(check_theorem(p, g))
+    return record, outcomes
 
 
 @dataclass(frozen=True)

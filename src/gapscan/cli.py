@@ -23,8 +23,7 @@ from .errors import (
     CheckpointMismatchError,
     IdentityCheckError,
 )
-from .midpoint import PrimePair, compute_record, make_pair
-from .primes import UNIVERSE_LIMIT, is_prime, next_prime_above
+from .primes import UNIVERSE_LIMIT, next_prime_above
 from .scan import (
     DEFAULT_CHUNK_SIZE,
     DEFAULT_VIOLATION_CAP,
@@ -142,6 +141,8 @@ def _progress(done: int, total: int, chunk: tuple[int, int]) -> None:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
+    if args.jobs < 0:
+        raise ValueError("--jobs must be >= 0")
     config = ScanConfig(
         start=args.start,
         stop=args.stop,
@@ -163,22 +164,15 @@ def _cmd_pair(args: argparse.Namespace) -> int:
     lower = args.lower_bound
     if lower > UNIVERSE_LIMIT:
         raise ValueError(f"lower bound {lower} exceeds 2**63")
-    p = lower if lower >= 2 and is_prime(lower) else next_prime_above(lower)
+    p = next_prime_above(lower - 1)
     q = next_prime_above(p)
-
-    if p == 2:
-        # No integral midpoint for (2, 3): no record, so only the cubed gap
-        # bound applies.
-        pair, record = PrimePair(p=p, q=q, g=q - p, m=p, b=0), None
-        pair_json = {"p": to_json(p), "q": to_json(q), "g": to_json(q - p)}
-        record_json = None
-    else:
-        pair = make_pair(p, q)
-        record = compute_record(pair)
-        pair_json = to_json(pair)
-        record_json = to_json(record)
-        del record_json["pair"]
-    outcomes = check_pair(pair, record)
+    record, outcomes = check_pair(p, q)
+    record_json = None if record is None else to_json(record)
+    # (2, 3) has no integral midpoint, so no record and no m or b.
+    pair_json = (
+        record_json.pop("pair") if record_json
+        else {"p": to_json(p), "q": to_json(q), "g": to_json(q - p)}
+    )
 
     if args.format == "json":
         document = {

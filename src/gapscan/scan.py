@@ -4,11 +4,11 @@ the enabled per-pair checks.
 A chunk is sieved in fixed windows; its pairs are counted from the prime
 flags, and only the few pairs a check, a gap record or the extremal ratio
 can depend on are found by a zero-run search and run through
-`midpoint.compute_record` and `claims.check_pair`.  Every other pair is
-settled by the lemma proved in `scan_chunk`, which tests pin against an
-every-pair reference scan.  Determinism contract: the final report never
-depends on worker count, scheduling, or chunking (chunk merges happen in
-range order).
+`claims.check_pair`, which builds each one's record.  A `ChunkTally` adds
+them up.  Every other pair is settled by the lemma proved in `scan_chunk`,
+which tests pin against an every-pair reference scan.  Determinism
+contract: the final report never depends on worker count, scheduling, or
+chunking (chunk merges happen in range order).
 
 Reports are value objects that merge associatively, so a scan can be
 partitioned, checkpointed, and resumed without changing its result.
@@ -35,7 +35,6 @@ from .errors import (
     IdentityCheckError,
     OverlappingRangesError,
 )
-from .midpoint import PrimePair, compute_record
 from .primes import SEGMENT_WIDTH, UNIVERSE_LIMIT
 # perfbench/tracing.py wraps gapscan.scan.iter_consecutive_pairs by name.
 from .primes import iter_consecutive_pairs  # noqa: F401
@@ -48,11 +47,6 @@ CHECKPOINT_VERSION = 1
 # final saves run_scan saves at most once per this many wall seconds; a crash
 # loses at most that much merged work.
 CHECKPOINT_INTERVAL_S = 1.0
-
-# Pairs that every scan_chunk call evaluates, with every check and counter,
-# ahead of the pairs it owns.  Always empty in the program: tests fill it
-# to reach the failure branches, which genuine consecutive primes never take.
-FED_PAIRS: tuple[tuple[int, int], ...] = ()
 
 
 def default_workers() -> int:
@@ -174,26 +168,6 @@ class ScanReport:
     violation_cap: int
     elapsed_ns: int = field(default=0, compare=False)
 
-    @classmethod
-    def empty(
-        cls,
-        start: int,
-        stop: int,
-        claims: Iterable[ClaimId] = PAIR_CLAIMS,
-        violation_cap: int = DEFAULT_VIOLATION_CAP,
-    ) -> "ScanReport":
-        return cls(
-            start=start,
-            stop=stop,
-            pairs_checked=0,
-            per_claim={c: ClaimCounter() for c in claims},
-            violations=[],
-            max_ratio=None,
-            gap_records=[],
-            c_histogram={},
-            violation_cap=violation_cap,
-        )
-
     def to_json_dict(self) -> dict:
         """The codec's JSON form, with start and stop as "range": [lo, hi]."""
         data = to_json(self)
@@ -230,6 +204,84 @@ def _icbrt(n: int) -> int:
     return x
 
 
+class ChunkTally:
+    """What the pairs of one chunk add up to.  `pairs` counts every pair the
+    chunk owns; the few that `scan_chunk`'s lemma cannot settle go through
+    `evaluate`, and `report` settles the rest."""
+
+    def __init__(self, claims: Iterable[ClaimId], violation_cap: int) -> None:
+        self.claims = frozenset(claims)
+        self.violation_cap = violation_cap
+        self.pairs = 0
+        self.evaluated = 0
+        self.counters = {c: ClaimCounter() for c in self.claims}
+        self.violations: list[ClaimOutcome] = []
+        self.histogram: dict[int, int] = {}
+        self.gap_records: list[GapRecord] = []
+        self.best_gap = 0
+        self.best: RatioRecord | None = None
+
+    def evaluate(self, p: int, q: int) -> None:
+        """Run the pair (p, q) through `check_pair` and update every counter
+        and record; an IDENTITIES failure aborts the scan."""
+        self.evaluated += 1
+        g = q - p
+        if g > self.best_gap:
+            self.best_gap = g
+            self.gap_records.append(GapRecord(p=p, g=g))
+        ratio = RatioRecord(g_cubed=g * g * g, p_squared=p * p, p=p, g=g)
+        if self.best is None or ratio.beats(self.best):
+            self.best = ratio
+        record, outcomes = check_pair(p, q, self.claims)
+        if record is not None:
+            self.histogram[record.c_lo] = self.histogram.get(record.c_lo, 0) + 1
+        for outcome in outcomes:
+            if outcome.status is Status.FAIL:
+                if outcome.claim is ClaimId.IDENTITIES:
+                    raise IdentityCheckError(
+                        f"identity failed at pair ({p}, {q}): "
+                        f"lhs={outcome.lhs} rhs={outcome.rhs}"
+                    )
+                if len(self.violations) < self.violation_cap:
+                    self.violations.append(outcome)
+            self.counters[outcome.claim] += _TALLY[outcome.status]
+
+    def threshold(self, p: int) -> int:
+        """The t of `scan_chunk`'s lemma for a search starting at the prime
+        p: 0 while nothing is evaluated."""
+        if self.best is None:
+            return 0
+        bar = _icbrt(self.best.g_cubed * p * p // self.best.p_squared)
+        return min(self.best_gap, isqrt(8 * p - 1), bar)
+
+    def report(self, lo: int, hi: int, elapsed_ns: int) -> ScanReport:
+        """The report of [lo, hi): each pair not evaluated adds what
+        `scan_chunk`'s lemma proves of it."""
+        discharged = self.pairs - self.evaluated
+        histogram = self.histogram
+        if discharged:
+            histogram = {**histogram, 0: histogram.get(0, 0) + discharged}
+        return ScanReport(
+            start=lo,
+            stop=hi,
+            pairs_checked=self.pairs,
+            per_claim={
+                claim: counter + ClaimCounter(
+                    checked=discharged,
+                    passed=0 if claim is ClaimId.COR_PRODUCT else discharged,
+                    vacuous=discharged if claim is ClaimId.COR_PRODUCT else 0,
+                )
+                for claim, counter in self.counters.items()
+            },
+            violations=self.violations,
+            max_ratio=self.best,
+            gap_records=self.gap_records,
+            c_histogram=histogram,
+            violation_cap=self.violation_cap,
+            elapsed_ns=elapsed_ns,
+        )
+
+
 def scan_chunk(
     lo: int,
     hi: int,
@@ -241,27 +293,26 @@ def scan_chunk(
     The pair at p = 2 has no integral midpoint, so it only sees the cubed
     gap bound; all other enabled checks count every pair.
 
-    Only a few pairs are evaluated, by `compute_record` and `check_pair`:
-    the pair at p = 2, the pair crossing each sieve window's end (the last
-    one takes its successor from `next_prime_above`), and every pair whose
-    gap g exceeds t = min(best gap so far, isqrt(8P - 1),
-    icbrt(bg3 * P**2 // bp2)), where P is the prime the search starts from
-    and bg3 / bp2 is the g_cubed / p_squared of the best `RatioRecord` so
-    far by `RatioRecord.beats` (one with g_cubed = 0 yields to the next
-    pair and is reported as null).  Each term only grows with P and with
-    the state, so a pair with p >= P > 2 and g <= t neither sets a gap
-    record, nor beats the best ratio (g**3 * bp2 <= bg3 * p**2), and has
-    g**2 < 8p.
+    Only a few pairs are evaluated, by `ChunkTally.evaluate` through
+    `check_pair`, which builds the pair's record: the pair at p = 2, the
+    pair crossing each sieve window's end (the last one takes its successor
+    from `next_prime_above`), and every pair whose gap g exceeds t =
+    min(best gap so far, isqrt(8P - 1), icbrt(bg3 * P**2 // bp2)), where P
+    is the prime the search starts from and bg3 / bp2 is the g_cubed /
+    p_squared of the best `RatioRecord` so far by `RatioRecord.beats`.
+    Each term only grows with P and with the state, so a pair with
+    p >= P > 2 and g <= t neither sets a gap record, nor beats the best
+    ratio (g**3 * bp2 <= bg3 * p**2), and has g**2 < 8p.
 
     The flags are odd-only (`primes.sieve_range`), so 2 has none: when
     lo <= 2 < hi, 2 is counted here and opens the chunk's first pair, (2, 3),
     which is evaluated like a window-crossing pair (or as the last pair when
-    hi = 3).  Odd primes p < q sit
-    g / 2 flags apart, with g / 2 - 1 zero flags between them, and g is
-    even, so g > t exactly when g >= 2 * (t >> 1) + 2, that is, when
-    g / 2 - 1 >= t >> 1.  The first run of t >> 1 zero flags past P's flag
-    therefore starts right after the first prime at or past P whose gap
-    exceeds t, and the zero-run search finds exactly the pairs to evaluate.
+    hi = 3).  Odd primes p < q sit g / 2 flags apart, with g / 2 - 1 zero
+    flags between them, and g is even, so g > t exactly when
+    g >= 2 * (t >> 1) + 2, that is, when g / 2 - 1 >= t >> 1.  The first
+    run of t >> 1 zero flags past P's flag therefore starts right after the
+    first prime at or past P whose gap exceeds t, and the zero-run search
+    finds exactly the pairs to evaluate.
 
     Lemma: for odd p < q with g = q - p, b = g / 2 and g**2 < 8p, every
     check passes, and COR_PRODUCT vacuously.  b**2 = g**2 / 4 < 2p < 2q,
@@ -274,106 +325,37 @@ def scan_chunk(
     exactly 1 to each enabled claim's `checked`, 1 to COR_PRODUCT's
     `vacuous` and every other claim's `passed`, 1 to c_histogram[0], and
     nothing else.
-
-    The pairs in FED_PAIRS are evaluated first, through the same path.
     """
     t0 = time.perf_counter_ns()
     # Sieve and successor calls go through the module, so a wrapper set on
     # gapscan.primes sees them.  windows rejects an empty range here.
     walk = primes.windows(lo, hi, SEGMENT_WIDTH)
-    enabled = frozenset(claims)
-
-    tally = {c: ClaimCounter() for c in enabled}
-    violations: list[ClaimOutcome] = []
-    hist: dict[int, int] = {}
-    gap_records: list[GapRecord] = []
-    best_gap = 0
-    best: RatioRecord | None = None
-    evaluated = 0
-
-    def evaluate(p: int, q: int) -> None:
-        nonlocal best_gap, best, evaluated
-        evaluated += 1
-        g = q - p
-        if g > best_gap:
-            best_gap = g
-            gap_records.append(GapRecord(p=p, g=g))
-        ratio = RatioRecord(g_cubed=g * g * g, p_squared=p * p, p=p, g=g)
-        if best is None or not best.g_cubed or ratio.beats(best):
-            best = ratio
-        pair = PrimePair(p=p, q=q, g=g, m=p + (g >> 1), b=g >> 1)
-        record = None
-        if p != 2:
-            record = compute_record(pair)
-            hist[record.c_lo] = hist.get(record.c_lo, 0) + 1
-        for outcome in check_pair(pair, record, enabled):
-            if outcome.status is Status.FAIL:
-                if outcome.claim is ClaimId.IDENTITIES:
-                    raise IdentityCheckError(
-                        f"identity failed at pair ({p}, {q}): "
-                        f"lhs={outcome.lhs} rhs={outcome.rhs}"
-                    )
-                if len(violations) < violation_cap:
-                    violations.append(outcome)
-            tally[outcome.claim] += _TALLY[outcome.status]
-
-    for p, q in FED_PAIRS:
-        evaluate(p, q)
-    pairs = len(FED_PAIRS)
+    tally = ChunkTally(claims, violation_cap)
 
     prev = None  # the last prime of the windows so far; its pair is open
     if lo <= 2 < hi:
-        pairs += 1
+        tally.pairs += 1
         prev = 2
     for base, flags in walk:
         i = flags.find(1)
         if i < 0:
             continue
-        pairs += flags.count(1)
+        tally.pairs += flags.count(1)
         if prev is not None:
-            evaluate(prev, base + 2 * i)
+            tally.evaluate(prev, base + 2 * i)
         last = flags.rfind(1)
         # i indexes the prime P whose pair is the next one undecided.
         while True:
-            p = base + 2 * i
-            t = 0  # while nothing is evaluated
-            if best is not None:
-                bar = _icbrt(best.g_cubed * p * p // best.p_squared)
-                t = min(best_gap, isqrt(8 * p - 1), bar)
-            run = t >> 1
+            run = tally.threshold(base + 2 * i) >> 1
             z = flags.find(bytes(run), i + 1, last)
             if z < 0:
                 break
             i = flags.find(1, z + run)
-            evaluate(base + 2 * (z - 1), base + 2 * i)
+            tally.evaluate(base + 2 * (z - 1), base + 2 * i)
         prev = base + 2 * last
     if prev is not None:
-        evaluate(prev, primes.next_prime_above(prev))
-
-    discharged = pairs - evaluated
-    per_claim = {
-        claim: counter + ClaimCounter(
-            checked=discharged,
-            passed=0 if claim is ClaimId.COR_PRODUCT else discharged,
-            vacuous=discharged if claim is ClaimId.COR_PRODUCT else 0,
-        )
-        for claim, counter in tally.items()
-    }
-    if discharged:
-        hist[0] = hist.get(0, 0) + discharged
-
-    return ScanReport(
-        start=lo,
-        stop=hi,
-        pairs_checked=pairs,
-        per_claim=per_claim,
-        violations=violations,
-        max_ratio=best if best is not None and best.g_cubed else None,
-        gap_records=gap_records,
-        c_histogram=hist,
-        violation_cap=violation_cap,
-        elapsed_ns=time.perf_counter_ns() - t0,
-    )
+        tally.evaluate(prev, primes.next_prime_above(prev))
+    return tally.report(lo, hi, time.perf_counter_ns() - t0)
 
 
 def merge_reports(a: ScanReport, b: ScanReport) -> ScanReport:
@@ -504,10 +486,12 @@ def run_scan(
     CHECKPOINT_INTERVAL_S of wall time, on halt, and after the last chunk.
 
     `progress` is called as progress(done, total, chunk) after each merge.
-    `halt_after_chunks` stops early after that many newly merged chunks
-    (the checkpoint, if configured, then allows an exact resume); used to
-    exercise interrupt/resume.
+    `halt_after_chunks` stops early after that many newly merged chunks, at
+    least 1 (the checkpoint, if configured, then allows an exact resume);
+    used to exercise interrupt/resume.
     """
+    if halt_after_chunks is not None and halt_after_chunks < 1:
+        raise ValueError(f"halt_after_chunks must be >= 1, got {halt_after_chunks}")
     config.validate()
     plan = plan_chunks(config)
     digest = config.digest()

@@ -247,13 +247,27 @@ def crafted_pairs(monkeypatch):
     Returns `feed(*pairs)`.  After `feed((3, 9))`, every scan_chunk call
     first evaluates the pair (3, 9), then the consecutive pairs it owns, so
     the real failure branches run and record real lhs/rhs values.  Each
-    call to `feed` replaces the pairs fed before.  The patch sets
-    `gapscan.scan.FED_PAIRS`, which scan_chunk reads once per call; it is
-    seen by scans in this process, and pool workers only see it when they
-    are forked.
+    call to `feed` replaces the pairs fed before.  The patch swaps
+    `gapscan.scan.ChunkTally`, the tally scan_chunk makes once per call,
+    for a subclass that counts and evaluates the fed pairs as it is made;
+    it is seen by scans in this process, and pool workers only see it when
+    they are forked.  A pair with q == p has no gap and is refused.
     """
+    # The class in place when the test starts, so that a later feed does
+    # not subclass the tally an earlier feed swapped in.
+    tally = gapscan.scan.ChunkTally
 
     def feed(*pairs: tuple[int, int]) -> None:
-        monkeypatch.setattr(gapscan.scan, "FED_PAIRS", pairs)
+        if any(p == q for p, q in pairs):
+            raise ValueError(f"a fed pair needs q != p, got {pairs}")
+
+        class FedTally(tally):
+            def __init__(self, *args, **kwargs) -> None:
+                super().__init__(*args, **kwargs)
+                self.pairs += len(pairs)
+                for p, q in pairs:
+                    self.evaluate(p, q)
+
+        monkeypatch.setattr(gapscan.scan, "ChunkTally", FedTally)
 
     return feed

@@ -186,7 +186,7 @@ class TestTheorem:
 class TestCheckPair:
     def test_every_check_in_claim_order(self):
         r = record_at(113, 127)
-        assert check_pair(r.pair, r) == [
+        assert check_pair(113, 127) == (r, [
             check_identities(r),
             check_lemma_order(r),
             check_cor_bound(r),
@@ -194,21 +194,20 @@ class TestCheckPair:
             check_lemma_ratio(r),
             check_lemma_sqrt(r),
             check_theorem(113, 14),
-        ]
+        ])
 
     def test_subset(self):
         r = record_at(113, 127)
         subset = {ClaimId.LEMMA_SQRT, ClaimId.IDENTITIES}
-        assert check_pair(r.pair, r, subset) == [
+        assert check_pair(113, 127, subset) == (r, [
             check_identities(r),
             check_lemma_sqrt(r),
-        ]
-        assert check_pair(r.pair, r, frozenset()) == []
+        ])
+        assert check_pair(113, 127, frozenset()) == (r, [])
 
     def test_pair_at_two_gets_theorem_only(self):
-        pair = PrimePair(p=2, q=3, g=1, m=2, b=0)
-        assert check_pair(pair, None) == [check_theorem(2, 1)]
-        assert check_pair(pair, None, {ClaimId.IDENTITIES}) == []
+        assert check_pair(2, 3) == (None, [check_theorem(2, 1)])
+        assert check_pair(2, 3, {ClaimId.IDENTITIES}) == (None, [])
 
 
 class TestGapLemma:
@@ -229,9 +228,9 @@ class TestGapLemma:
             label="b",
         )
         g = 2 * b
-        pair = PrimePair(p=p, q=p + g, g=g, m=p + b, b=b)
-        record = compute_record(pair)
-        status = {o.claim: o.status for o in check_pair(pair, record)}
+        record, outcomes = check_pair(p, p + g)
+        assert record == compute_record(PrimePair(p=p, q=p + g, g=g, m=p + b, b=b))
+        status = {o.claim: o.status for o in outcomes}
         assert list(status) == list(PAIR_CLAIMS)
         small = g * g < 8 * p
         if small:

@@ -36,12 +36,14 @@ class TestPairCommand:
         assert json.loads(out)["pair"]["p"] == "11"
 
     def test_pair_at_two_has_no_record(self, capsys):
-        code, out, _ = invoke(capsys, "pair", "2")
-        assert code == 0
-        document = json.loads(out)
-        assert document["pair"] == {"p": "2", "q": "3", "g": "1"}
-        assert document["record"] is None
-        assert [c["claim"] for c in document["claims"]] == ["THEOREM_CUBE_BOUND"]
+        # Every lower bound up to 2 names the pair (2, 3).
+        for lower in ("-5", "0", "1", "2"):
+            code, out, _ = invoke(capsys, "pair", lower)
+            assert code == 0
+            document = json.loads(out)
+            assert document["pair"] == {"p": "2", "q": "3", "g": "1"}
+            assert document["record"] is None
+            assert [c["claim"] for c in document["claims"]] == ["THEOREM_CUBE_BOUND"]
 
     def test_csv_column_order(self, capsys):
         code, out, _ = invoke(capsys, "pair", "7", "--format", "csv")
@@ -178,6 +180,14 @@ class TestScanCommand:
         code, _, err = invoke(capsys, "scan", "--from", "2", "--to", "0")
         assert code == 2
         assert "error" in err
+
+    def test_negative_jobs_is_usage_error(self, capsys):
+        code, out, err = invoke(
+            capsys, "scan", "--from", "2", "--to", "100", "--jobs", "-2"
+        )
+        assert code == 2
+        assert out == ""
+        assert "error: --jobs must be >= 0" in err
 
     def test_unknown_claim_is_usage_error(self, capsys):
         code, _, err = invoke(

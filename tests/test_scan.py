@@ -21,7 +21,9 @@ from gapscan.errors import (
 import gapscan.scan
 from gapscan.primes import iter_consecutive_pairs
 from gapscan.scan import (
+    DEFAULT_VIOLATION_CAP,
     CheckpointState,
+    ChunkTally,
     ClaimCounter,
     ScanConfig,
     ScanReport,
@@ -47,6 +49,11 @@ PRIMELESS = (90, 96)
 
 def full_scan(lo: int, hi: int, **kwargs) -> ScanReport:
     return scan_chunk(lo, hi, **kwargs)
+
+
+def empty_report(lo: int, hi: int) -> ScanReport:
+    """The report of a range that owns no pair, from a tally that saw none."""
+    return ChunkTally(PAIR_CLAIMS, DEFAULT_VIOLATION_CAP).report(lo, hi, 0)
 
 
 class TestPlanChunks:
@@ -247,6 +254,15 @@ class TestReferenceEquality:
 class TestInjection:
     """Failure paths, reached by feeding crafted non-genuine pairs."""
 
+    def test_second_feed_replaces_first(self, crafted_pairs):
+        crafted_pairs((3, 9))
+        crafted_pairs((5, 1))
+        assert full_scan(*PRIMELESS) == reference_scan(*PRIMELESS, fed=[(5, 1)])
+
+    def test_feed_refuses_zero_gap(self, crafted_pairs):
+        with pytest.raises(ValueError, match="q != p"):
+            crafted_pairs((3, 5), (7, 7))
+
     def test_forced_product_failure(self, crafted_pairs):
         crafted_pairs((3, 9))
         report = full_scan(2, 100)
@@ -347,9 +363,9 @@ class TestInjection:
 class TestMergeReports:
     def test_zero_width_identity(self):
         report = full_scan(2, 100)
-        empty = ScanReport.empty(100, 100)
+        empty = empty_report(100, 100)
         assert merge_reports(report, empty) == report
-        left = ScanReport.empty(2, 2)
+        left = empty_report(2, 2)
         assert merge_reports(left, report) == report
 
     def test_split_equals_single_scan(self):
@@ -382,8 +398,8 @@ class TestMergeReports:
     def test_associative(self, cut1, cut2):
         lo, hi = 2, 3100
         a_end, b_end = sorted((cut1, cut2))
-        a = full_scan(lo, a_end) if lo < a_end else ScanReport.empty(lo, a_end)
-        b = full_scan(a_end, b_end) if a_end < b_end else ScanReport.empty(a_end, b_end)
+        a = full_scan(lo, a_end) if lo < a_end else empty_report(lo, a_end)
+        b = full_scan(a_end, b_end) if a_end < b_end else empty_report(a_end, b_end)
         c = full_scan(b_end, hi)
         assert merge_reports(merge_reports(a, b), c) == merge_reports(
             a, merge_reports(b, c)
@@ -540,6 +556,15 @@ class TestCheckpoint:
             ScanConfig(start=2, stop=5000, chunk_size=1 << 10, workers=1)
         )
         assert resumed == uninterrupted
+
+    @pytest.mark.parametrize("halt", [0, -1])
+    def test_halt_below_one_is_rejected(self, tmp_path, halt):
+        path = str(tmp_path / "scan.ckpt")
+        config = ScanConfig(start=2, stop=5000, chunk_size=1 << 10,
+                            checkpoint_path=path, workers=1)
+        with pytest.raises(ValueError, match="halt_after_chunks"):
+            run_scan(config, halt_after_chunks=halt)
+        assert not os.path.exists(path)
 
     def test_resume_of_finished_scan_is_a_no_op(self, tmp_path):
         path = str(tmp_path / "scan.ckpt")
