@@ -16,7 +16,7 @@ from enum import Enum
 from typing import Container
 
 from .midpoint import MidpointRecord, PrimePair, compute_record
-from .primes import UNIVERSE_LIMIT, windows
+from .primes import UNIVERSE_LIMIT, count_flags, windows
 # perfbench/tracing.py wraps gapscan.claims.sieve_range by name.
 from .primes import sieve_range  # noqa: F401
 
@@ -209,7 +209,7 @@ def check_cube_interval(n: int) -> CubeIntervalResult:
     if cube_lo < 2:  # n = 1: 2, which has no sieve flag, is the witness
         count, witness = 1, 2
     for base, flags in windows(cube_lo + 1, cube_hi, CUBE_WINDOW):
-        count += flags.count(1)
+        count += count_flags(flags)
         if not witness and (i := flags.find(1)) >= 0:
             witness = base + 2 * i
     status = Status.PASS if count >= 1 else Status.FAIL

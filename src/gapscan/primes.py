@@ -27,6 +27,7 @@ from itertools import compress, islice, repeat
 from math import isqrt
 from operator import mod
 from typing import Iterator
+from zlib import adler32
 
 from .errors import InvalidRangeError, RangeTooLargeError
 
@@ -51,6 +52,16 @@ _MR_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 # _PERIOD odd numbers.
 _PRESIEVED = (3, 5, 7, 11, 13)
 _PERIOD = 3 * 5 * 7 * 11 * 13
+
+# A base prime that strikes at most Z flags of a window takes its zero run
+# from _ZEROS[c], c <= Z, instead of allocating one.  Nothing writes to the
+# cache: a bytearray value is read, never copied or changed, by the slice
+# assignment it feeds.
+Z = 256
+_ZEROS = tuple(bytearray(c) for c in range(Z + 1))
+
+# The longest run of flags whose adler32 low half is 1 plus their count.
+_ADLER_RUN = 65519
 
 
 def _presieve_pattern() -> bytearray:
@@ -107,20 +118,28 @@ def sieve_range(lo: int, hi: int) -> bytearray:
     (base >> 1) mod 15015, where base = lo | 1, repeated to length: every
     multiple of 3, 5, 7, 11 and 13 is struck.  Each odd base prime p from
     17 to isqrt(hi - 1) then strikes its odd multiples in the range, and
-    the loop splits at the range's span of 2n numbers, n = len(flags):
+    the loop splits into three bands, small, medium and large, at
+    ceil(n/Z) and at the range's span of 2n numbers, n = len(flags):
 
-    - A prime p < 2n strikes every p-th flag from its first odd multiple
+    - A small or medium prime, p < 2n, strikes every p-th flag from its first odd multiple
       at or past base, at index i = ((p >> 1) - (base >> 1)) mod p:
       base + 2i = 2((base >> 1) + i) + 1 is then 2(p >> 1) + 1 = p
-      modulo p.
-    - A prime p >= 2n strikes at most one flag.  Let last = base + 2(n - 1)
-      and r = last mod p.  [base, last] holds 2n - 1 < p integers, so at
-      most one multiple of p; if it holds one, that is last - r, which is
-      in range exactly when r <= 2n - 2.  last is odd, so last - r is odd
-      exactly when r is even.  The range thus holds an odd multiple of p
-      exactly when r is even and r < 2n, and its flag is n - 1 - r/2.
-      Each such prime costs one remainder, streamed from the base-prime
-      list.
+      modulo p.  When i < n the slice flags[i::p] holds
+      c = (n - 1 - i)//p + 1 flags, and a zero run of that length is
+      assigned to it.
+      - A small prime, p < ceil(n/Z) <= n, gets a new zero run; its
+        i < p < n needs no test.
+      - A medium prime, ceil(n/Z) <= p < 2n, gets the cached _ZEROS[c],
+        since c <= Z: p >= ceil(n/Z) >= n/Z gives
+        (n - 1 - i)/p <= (n - 1)/p < n/p <= Z, so (n - 1 - i)//p <= Z - 1.
+    - A large prime, p >= 2n, strikes at most one flag.  Let
+      last = base + 2(n - 1) and r = last mod p.  [base, last] holds
+      2n - 1 < p integers, so at most one multiple of p; if it holds one,
+      that is last - r, which is in range exactly when r <= 2n - 2.  last
+      is odd, so last - r is odd exactly when r is even.  The range thus
+      holds an odd multiple of p exactly when r is even and r < 2n, and
+      its flag is n - 1 - r/2.  Each such prime costs one remainder,
+      streamed from the base-prime list.
 
     Every odd composite below hi has an odd prime factor <= isqrt(hi - 1),
     so exactly the odd primes survive, except that each struck prime inside
@@ -159,12 +178,16 @@ def _sieve(lo: int, hi: int) -> bytearray:
     del flags[n:]
 
     span = 2 * n
-    wide = bisect_left(odd_primes, span, len(_PRESIEVED), struck)
-    for p in islice(odd_primes, len(_PRESIEVED), wide):
+    medium = bisect_left(odd_primes, -(-n // Z), len(_PRESIEVED), struck)
+    wide = bisect_left(odd_primes, span, medium, struck)
+    for p in islice(odd_primes, len(_PRESIEVED), medium):
+        i = ((p >> 1) - k) % p
+        # A bytearray value is assigned without an intermediate copy.
+        flags[i::p] = bytearray((n - 1 - i) // p + 1)
+    for p in islice(odd_primes, medium, wide):
         i = ((p >> 1) - k) % p
         if i < n:
-            # A bytearray value is assigned without an intermediate copy.
-            flags[i::p] = bytearray((n - 1 - i) // p + 1)
+            flags[i::p] = _ZEROS[(n - 1 - i) // p + 1]
 
     last = base + span - 2
     for r in map(mod, repeat(last), islice(odd_primes, wide, struck)):
@@ -177,6 +200,23 @@ def _sieve(lo: int, hi: int) -> bytearray:
     if base == 1 and n:
         flags[0] = 0  # 1 is not prime
     return flags
+
+
+def count_flags(flags: bytearray) -> int:
+    """The number of 1 bytes in flags, whose every byte is 0 or 1.
+
+    Each run of at most _ADLER_RUN = 65519 flags is summed by zlib's
+    adler32, read from a memoryview slice, so nothing is copied.  By
+    RFC 1950 the checksum's low 16 bits are s1 = (1 + sum of the bytes)
+    mod 65521 from the start value 1.  A run of at most 65519 bytes of 0
+    or 1 has 1 + sum <= 65520 < 65521, so s1 is never reduced, and
+    s1 - 1 is the run's count of ones.
+    """
+    with memoryview(flags) as view:
+        return sum(
+            (adler32(view[j : j + _ADLER_RUN]) & 0xFFFF) - 1
+            for j in range(0, len(view), _ADLER_RUN)
+        )
 
 
 def is_prime(n: int) -> bool:
@@ -234,7 +274,9 @@ def windows(
     the next begins: base + 2 * len(flags) is the next window's base.  A
     window holding no odd number yields empty flags, and 2 is never
     flagged.  The range is checked at the call; each window is sieved when
-    the walk reaches it."""
+    the walk reaches it; a width below 1 raises ValueError."""
+    if width < 1:
+        raise ValueError(f"window width must be >= 1, got {width}")
     if lo >= hi:
         raise InvalidRangeError(f"empty or reversed range [{lo}, {hi})")
     return (

@@ -2,13 +2,13 @@
 the enabled per-pair checks.
 
 A chunk is sieved in fixed windows; its pairs are counted from the prime
-flags, and only the few pairs a check, a gap record or the extremal ratio
-can depend on are found by a zero-run search and run through
-`claims.check_pair`, which builds each one's record.  A `ChunkTally` adds
-them up.  Every other pair is settled by the lemma proved in `scan_chunk`,
-which tests pin against an every-pair reference scan.  Determinism
-contract: the final report never depends on worker count, scheduling, or
-chunking (chunk merges happen in range order).
+flags by `primes.count_flags`, and only the few pairs a check, a gap
+record or the extremal ratio can depend on are found by a zero-run search
+and run through `claims.check_pair`, which builds each one's record.  A
+`ChunkTally` adds them up.  Every other pair is settled by the lemma
+proved in `scan_chunk`, which tests pin against an every-pair reference
+scan.  Determinism contract: the final report never depends on worker
+count, scheduling, or chunking (chunk merges happen in range order).
 
 Reports are value objects that merge associatively, so a scan can be
 partitioned, checkpointed, and resumed without changing its result.
@@ -340,7 +340,7 @@ def scan_chunk(
         i = flags.find(1)
         if i < 0:
             continue
-        tally.pairs += flags.count(1)
+        tally.pairs += primes.count_flags(flags)
         if prev is not None:
             tally.evaluate(prev, base + 2 * i)
         last = flags.rfind(1)

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import inspect
+import os
 import random
+import re
 from itertools import islice
 from math import isqrt
 
@@ -16,8 +18,11 @@ import gapscan.scan
 from gapscan.claims import CUBE_WINDOW, check_cube_interval
 from gapscan.errors import InvalidRangeError, RangeTooLargeError
 from gapscan.primes import (
+    _ZEROS,
     MAX_SIEVE_WIDTH,
     SEGMENT_WIDTH,
+    Z,
+    count_flags,
     is_prime,
     iter_consecutive_pairs,
     next_prime_above,
@@ -200,6 +205,59 @@ class TestLargeBasePrimes:
         assert_true_flags(lo, lo + width)
 
 
+class TestMediumBasePrimes:
+    """A base prime p with ceil(n/Z) <= p < 2n, n = len(flags), strikes its
+    c <= Z flags with the cached _ZEROS[c]; a smaller one allocates a zero
+    run.  A band edge off by one asks for a cached run of the wrong length,
+    which raises, or for one the cache does not hold."""
+
+    @pytest.mark.parametrize("p", [17, 101, 263])
+    def test_strike_counts_at_the_band_edges(self, p):
+        # The window starts at an odd multiple struck only by p, so p's
+        # strikes start at flag 0 and number ceil(n/p).
+        m = odd_multiple_struck_only_by(p)
+        for n, edge, c in [
+            (p * Z + 1, p + 1, Z + 1),  # p = ceil(n/Z) - 1: the last small one
+            (p * Z, p, Z),  # p = ceil(n/Z): the first medium prime
+            ((p - 1) * Z + 1, p, -(-((p - 1) * Z + 1) // p)),  # and narrowest
+            (p, -(-p // Z), 1),  # p = n
+            ((p + 1) // 2, -(-((p + 1) // 2) // Z), 1),  # p = 2n - 1
+        ]:
+            assert -(-n // Z) == edge and -(-n // p) == c
+            flags = assert_true_flags(m, m + 2 * n)
+            assert len(flags) == n and flags[0] == 0
+
+    @given(
+        lo=st.integers(min_value=10**6, max_value=10**10),
+        width=st.integers(min_value=1, max_value=1 << 15),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_agrees_with_miller_rabin_across_the_bands(self, lo, width):
+        # Windows of up to 2**14 flags have small primes below 64, and base
+        # primes up to 10**5 reach both the medium and the large band.
+        assert_true_flags(lo, lo + width)
+
+    def test_cached_zero_runs_stay_zero(self):
+        for lo in (10**6, 10**9, 10**12):
+            for width in (1, 1000, 2 * 300 * Z, SEGMENT_WIDTH):
+                sieve_range(lo, lo + width)
+        assert [len(run) for run in _ZEROS] == list(range(Z + 1))
+        assert all(run == bytes(len(run)) for run in _ZEROS)
+
+
+class TestCountFlags:
+    @pytest.mark.parametrize(
+        "length", [0, 1, 65518, 65519, 65520, 2 * 65519 + 1]
+    )
+    def test_matches_count_of_ones(self, length):
+        # All ones is the only way to reach the bound of one adler32 run.
+        ones = bytearray(b"\x01") * length
+        assert count_flags(ones) == ones.count(1) == length
+        rng = random.Random(length)
+        flags = bytearray(rng.getrandbits(1) for _ in range(length))
+        assert count_flags(flags) == flags.count(1)
+
+
 class TestWindows:
     @given(
         lo=st.integers(min_value=0, max_value=10**5),
@@ -243,6 +301,16 @@ class TestWindows:
             windows(30, 30)
         with pytest.raises(InvalidRangeError):
             windows(30, 10, 4)
+
+    @pytest.mark.parametrize("width", [0, -4])
+    def test_rejects_width_below_one(self, width):
+        # Before the check, width 0 failed inside range() and a negative
+        # width yielded no window, so a pair walk lost every pair but (2, 3).
+        message = f"width must be >= 1, got {width}"
+        with pytest.raises(ValueError, match=message):
+            windows(2, 100, width)
+        with pytest.raises(ValueError, match=message):
+            list(iter_consecutive_pairs(2, 30, width))
 
 
 @pytest.fixture
@@ -353,13 +421,22 @@ class TestTracedNames:
         assert len(gapscan.claims.sieve_range(10, 30)) == 10
         # perfbench/ reads these from the package root.
         for name in [
-            "ScanConfig", "run_scan", "plan_chunks", "scan_chunk", "make_pair",
+            "ScanConfig", "run_scan", "plan_chunks", "scan_chunk",
             "compute_record", "PrimePair", "check_cube_interval", "is_prime",
             "sieve_range", "iter_consecutive_pairs",
         ]:
             assert hasattr(gapscan, name), f"gapscan.{name}"
         for module in ("primes", "claims", "scan"):
             assert hasattr(gapscan, module), f"gapscan.{module}"
+
+    def test_names_the_readme_tour_imports(self):
+        readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            tour = re.search(r"from gapscan import \(([^)]*)\)", fh.read())
+        names = re.findall(r"\w+", tour.group(1))
+        assert "make_pair" in names
+        for name in names:
+            assert hasattr(gapscan, name), f"gapscan.{name}"
 
     @pytest.mark.parametrize("n", [1, 3000])
     def test_cube_interval_calls_the_traced_name_once_per_window(
