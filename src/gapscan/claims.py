@@ -187,12 +187,6 @@ class CubeIntervalResult:
         return ClaimOutcome(ClaimId.CUBE_INTERVAL, self.n, self.status, self.count, 1)
 
 
-# Window width of check_cube_interval, in numbers (8 MiB of flags).  Each
-# window loops over every base prime again, so wide windows keep that cost
-# to a few loops per n.
-CUBE_WINDOW = 1 << 24
-
-
 def check_cube_interval(n: int) -> CubeIntervalResult:
     """Count primes strictly between n**3 and (n+1)**3.
 
@@ -208,7 +202,7 @@ def check_cube_interval(n: int) -> CubeIntervalResult:
     count = witness = 0
     if cube_lo < 2:  # n = 1: 2, which has no sieve flag, is the witness
         count, witness = 1, 2
-    for base, flags in windows(cube_lo + 1, cube_hi, CUBE_WINDOW):
+    for base, flags in windows(cube_lo + 1, cube_hi):
         count += count_flags(flags)
         if not witness and (i := flags.find(1)) >= 0:
             witness = base + 2 * i

@@ -11,14 +11,6 @@ class RangeTooLargeError(ValueError):
     hold; the caller is expected to chunk the range instead."""
 
 
-class NotPrimeError(ValueError):
-    """Pair construction rejected an input that is not prime."""
-
-
-class NotConsecutiveError(ValueError):
-    """Pair construction found another prime strictly between the two inputs."""
-
-
 class MidpointUndefinedError(ValueError):
     """Midpoint analysis needs two odd primes; the pair (2, 3) has a
     non-integral midpoint and is rejected."""

@@ -12,13 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (
-    InvalidRangeError,
-    MidpointUndefinedError,
-    NotConsecutiveError,
-    NotPrimeError,
-)
-from .primes import is_prime
+from .errors import MidpointUndefinedError
 
 
 @dataclass(frozen=True)
@@ -54,29 +48,8 @@ class MidpointRecord:
     delta: int
 
 
-def make_pair(p: int, q: int) -> PrimePair:
-    """Validate and build a consecutive-prime pair.
-
-    Rejects non-primes, non-consecutive primes (gap scan between them), and
-    the pair starting at 2, whose midpoint is not an integer.
-    """
-    if p >= q:
-        raise InvalidRangeError(f"need p < q, got ({p}, {q})")
-    if not is_prime(p):
-        raise NotPrimeError(f"{p} is not prime")
-    if not is_prime(q):
-        raise NotPrimeError(f"{q} is not prime")
-    if p == 2:
-        raise MidpointUndefinedError("midpoint of (2, 3) is not an integer")
-    for between in range(p + 2, q, 2):
-        if is_prime(between):
-            raise NotConsecutiveError(f"{between} lies between {p} and {q}")
-    g = q - p
-    return PrimePair(p=p, q=q, g=g, m=p + g // 2, b=g // 2)
-
-
 def compute_record(pair: PrimePair) -> MidpointRecord:
-    """Compute the full record for a validated pair with p >= 3.
+    """Compute the full record of a pair with p >= 3, taken as given.
 
     The odd-multiple counts use the closed forms c_lo = b**2 // (2p) and
     c_hi = b**2 // (2q); the tests check them against direct enumeration.

@@ -14,10 +14,17 @@ lo <= 2 < hi.  A window's flags start as a rotation of a fixed pattern
 with every multiple of 3, 5, 7, 11 and 13 struck, tiled from one period
 of 15015 odd numbers, so the base-prime loop starts at 17.
 
+One rule, `window_width(hi)`, sets how wide the windows of a range ending
+at hi are: 128 * isqrt(hi - 1) numbers, clamped to [SEGMENT_WIDTH,
+MAX_WINDOW], and `windows` cuts the last one at hi.  The one loop over
+the base primes that each window pays thus stays small beside its width
+at any height.
+
 The base primes that the windows strike with come from the same window
-sieve: one ordered list, grown in place in steps of at most SEGMENT_WIDTH
-numbers, each step struck by the primes the list already holds.  A window
-ending at hi still keeps the pi(isqrt(hi - 1)) base primes as Python ints.
+sieve: one ordered list, grown in place in steps of at most
+`window_width(limit)` numbers, each step struck by the primes the list
+already holds.  A window ending at hi still keeps the pi(isqrt(hi - 1))
+base primes as Python ints.
 """
 
 from __future__ import annotations
@@ -33,8 +40,10 @@ from .errors import InvalidRangeError, RangeTooLargeError
 
 UNIVERSE_LIMIT = 1 << 63
 
-# Default width of `windows`, in numbers; one window is 512 KiB of flags.
+# The narrowest and the widest window `window_width` picks, in numbers
+# (512 KiB and 32 MiB of flags).
 SEGMENT_WIDTH = 1 << 20
+MAX_WINDOW = 1 << 26
 
 # Hard cap on the width of one sieve_range call, in numbers (128 MiB of
 # flags).
@@ -88,16 +97,17 @@ def _odd_primes_to(limit: int) -> list[int]:
     <= limit (2 is left out); it may hold more.
 
     Each step sieves the next window [_base_limit + 1, top] with
-    top <= min(limit, _base_limit**2, _base_limit + SEGMENT_WIDTH): its
-    composites all have an odd prime factor <= isqrt(top) <= _base_limit,
-    so the primes the list already holds strike them.  The step trims any
-    entry past _base_limit, which an interrupted step may have left, before
-    it extends the list, so the list stays sorted and exact.
+    top <= min(limit, _base_limit**2, _base_limit + window_width(limit)):
+    its composites all have an odd prime factor <= isqrt(top) <=
+    _base_limit, so the primes the list already holds strike them.  The
+    step trims any entry past _base_limit, which an interrupted step may
+    have left, before it extends the list, so the list stays sorted and
+    exact.
     """
     global _base_limit
     while _base_limit < limit:
         lo = _base_limit + 1
-        top = min(limit, _base_limit * _base_limit, _base_limit + SEGMENT_WIDTH)
+        top = min(limit, _base_limit**2, _base_limit + window_width(limit))
         flags = _sieve(lo, top + 1)
         del _base_primes[bisect_right(_base_primes, _base_limit) :]
         _base_primes.extend(compress(range(lo | 1, top + 1, 2), flags))
@@ -147,7 +157,7 @@ def sieve_range(lo: int, hi: int) -> bytearray:
     struck; both are set right at the end.
 
     The base primes come from this same sieve: they are grown, up to
-    isqrt(hi - 1), in windows of at most SEGMENT_WIDTH numbers past the
+    isqrt(hi - 1), in windows of at most `window_width` numbers past the
     largest one found so far, and kept as a list of pi(isqrt(hi - 1))
     Python ints.  They are grown even when the range holds no odd number.
     """
@@ -264,30 +274,40 @@ def next_prime_above(n: int) -> int:
     raise OverflowError(f"no prime above {n} within the 2**63 universe")
 
 
-def windows(
-    lo: int, hi: int, width: int = SEGMENT_WIDTH
-) -> Iterator[tuple[int, bytearray]]:
-    """Yield (base, flags) for contiguous windows of at most `width`
-    numbers that cover [lo, hi) in order: flags is the window's
-    `sieve_range` and base the first odd number at or past the window's
-    start, so ``flags[i]`` stands for ``base + 2*i``.  One window ends where
-    the next begins: base + 2 * len(flags) is the next window's base.  A
-    window holding no odd number yields empty flags, and 2 is never
-    flagged.  The range is checked at the call; each window is sieved when
-    the walk reaches it; a width below 1 raises ValueError."""
-    if width < 1:
-        raise ValueError(f"window width must be >= 1, got {width}")
-    if lo >= hi:
-        raise InvalidRangeError(f"empty or reversed range [{lo}, {hi})")
+def window_width(hi: int) -> int:
+    """The width, in numbers, of the windows that walk a range ending at
+    hi >= 1: 128 * isqrt(hi - 1), clamped to [SEGMENT_WIDTH, MAX_WINDOW].
+
+    Each window pays one loop over the base primes up to isqrt(hi - 1), so
+    the width grows with that loop.  The factor 128 keeps every cube
+    interval (n**3, (n + 1)**3) with n <= 1000 in one window: its
+    3n**2 + 3n numbers are at most 128 * isqrt((n + 1)**3 - 1) there (95
+    would do).  Below a height of about 6.7e7 the floor of 2**20 numbers
+    wins, the best width for dense low ranges, and the cap of 2**26
+    numbers bounds one window at 32 MiB of flags.
+    """
+    return min(MAX_WINDOW, max(SEGMENT_WIDTH, 128 * isqrt(hi - 1)))
+
+
+def windows(lo: int, hi: int) -> Iterator[tuple[int, bytearray]]:
+    """Yield (base, flags) for contiguous windows of `window_width(hi)`
+    numbers, the last one cut at hi, that cover [lo, hi) in order: flags
+    is the window's `sieve_range` and base the first odd number at or past
+    the window's start, so ``flags[i]`` stands for ``base + 2*i``.  One
+    window ends where the next begins: base + 2 * len(flags) is the next
+    window's base.  A window holding no odd number yields empty flags, and
+    2 is never flagged.  The range is checked at the call; each window is
+    sieved when the walk reaches it."""
+    if not 0 <= lo < hi:
+        raise InvalidRangeError(f"empty, reversed or negative range [{lo}, {hi})")
+    width = window_width(hi)
     return (
         (window_lo | 1, sieve_range(window_lo, min(window_lo + width, hi)))
         for window_lo in range(lo, hi, width)
     )
 
 
-def iter_consecutive_pairs(
-    lo: int, hi: int, segment_width: int = SEGMENT_WIDTH
-) -> Iterator[tuple[int, int]]:
+def iter_consecutive_pairs(lo: int, hi: int) -> Iterator[tuple[int, int]]:
     """Yield (p, q) for every consecutive-prime pair with lo <= p < hi.
 
     q is always the true successor prime, found past hi when the last prime
@@ -295,7 +315,7 @@ def iter_consecutive_pairs(
     """
     # 2, the one even prime, has no flag: it heads the range's first pair.
     prev = 2 if lo <= 2 < hi else None
-    for base, flags in windows(lo, hi, segment_width):
+    for base, flags in windows(lo, hi):
         i = flags.find(1)
         while i >= 0:
             q = base + 2 * i

@@ -1,10 +1,11 @@
 """Chunked, mergeable range scans of every consecutive-prime pair under
 the enabled per-pair checks.
 
-A chunk is sieved in fixed windows; its pairs are counted from the prime
-flags by `primes.count_flags`, and only the few pairs a check, a gap
-record or the extremal ratio can depend on are found by a zero-run search
-and run through `claims.check_pair`, which builds each one's record.  A
+A chunk is sieved in windows whose width `primes.windows` works out from
+the chunk's top; its pairs are counted from the prime flags by
+`primes.count_flags`, and only the few pairs a check, a gap record or the
+extremal ratio can depend on are found by a zero-run search and run
+through `claims.check_pair`, which builds each one's record.  A
 `ChunkTally` adds them up.  Every other pair is settled by the lemma
 proved in `scan_chunk`, which tests pin against an every-pair reference
 scan.  Determinism contract: the final report never depends on worker
@@ -35,7 +36,7 @@ from .errors import (
     IdentityCheckError,
     OverlappingRangesError,
 )
-from .primes import SEGMENT_WIDTH, UNIVERSE_LIMIT
+from .primes import UNIVERSE_LIMIT
 # perfbench/tracing.py wraps gapscan.scan.iter_consecutive_pairs by name.
 from .primes import iter_consecutive_pairs  # noqa: F401
 
@@ -329,7 +330,7 @@ def scan_chunk(
     t0 = time.perf_counter_ns()
     # Sieve and successor calls go through the module, so a wrapper set on
     # gapscan.primes sees them.  windows rejects an empty range here.
-    walk = primes.windows(lo, hi, SEGMENT_WIDTH)
+    walk = primes.windows(lo, hi)
     tally = ChunkTally(claims, violation_cap)
 
     prev = None  # the last prime of the windows so far; its pair is open

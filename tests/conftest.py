@@ -5,7 +5,8 @@ The sieve here keeps one flag byte per number (the package sieves odd
 numbers only, from a presieved pattern), and primality falls back to trial
 division, so agreement between the two sides is meaningful.
 `reference_scan` is the plain every-pair scan that `scan_chunk`'s shortcut
-must equal.  The `crafted_pairs` fixture feeds chosen non-genuine pairs to
+must equal, and `make_pair` the validated pair constructor the record
+tests build their pairs with.  The `crafted_pairs` fixture feeds chosen non-genuine pairs to
 the scan, which is how the failure and exit-code paths are reached:
 genuine consecutive primes never fail a claim.
 """
@@ -33,9 +34,13 @@ from gapscan.claims import (
     check_lemma_sqrt,
     check_theorem,
 )
-from gapscan.errors import IdentityCheckError, InvalidRangeError
+from gapscan.errors import (
+    IdentityCheckError,
+    InvalidRangeError,
+    MidpointUndefinedError,
+)
 from gapscan.midpoint import PrimePair, compute_record
-from gapscan.primes import iter_consecutive_pairs
+from gapscan.primes import is_prime, iter_consecutive_pairs
 from gapscan.scan import ClaimCounter, GapRecord, RatioRecord, ScanReport
 
 # count_odd_multiples enumerates while the span is at most this many times
@@ -58,6 +63,35 @@ def trial_division_is_prime(n: int) -> bool:
 
 def trial_division_primes(lo: int, hi: int) -> list[int]:
     return [n for n in range(lo, hi) if trial_division_is_prime(n)]
+
+
+class NotPrimeError(ValueError):
+    """make_pair rejected an input that is not prime."""
+
+
+class NotConsecutiveError(ValueError):
+    """make_pair found another prime strictly between the two inputs."""
+
+
+def make_pair(p: int, q: int) -> PrimePair:
+    """Validate and build a consecutive-prime pair.
+
+    Rejects non-primes, non-consecutive primes (gap scan between them), and
+    the pair starting at 2, whose midpoint is not an integer.
+    """
+    if p >= q:
+        raise InvalidRangeError(f"need p < q, got ({p}, {q})")
+    if not is_prime(p):
+        raise NotPrimeError(f"{p} is not prime")
+    if not is_prime(q):
+        raise NotPrimeError(f"{q} is not prime")
+    if p == 2:
+        raise MidpointUndefinedError("midpoint of (2, 3) is not an integer")
+    for between in range(p + 2, q, 2):
+        if is_prime(between):
+            raise NotConsecutiveError(f"{between} lies between {p} and {q}")
+    g = q - p
+    return PrimePair(p=p, q=q, g=g, m=p + g // 2, b=g // 2)
 
 
 def _oracle_flags(limit: int) -> bytearray:

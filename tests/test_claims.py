@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import gapscan.claims
+import gapscan.primes
 from gapscan.claims import (
     PAIR_CLAIMS,
     ClaimId,
@@ -22,10 +22,10 @@ from gapscan.claims import (
     check_pair,
     check_theorem,
 )
-from gapscan.midpoint import MidpointRecord, PrimePair, compute_record, make_pair
+from gapscan.midpoint import MidpointRecord, PrimePair, compute_record
 from gapscan.primes import iter_consecutive_pairs, next_prime_above
 
-from conftest import trial_division_primes
+from conftest import make_pair, trial_division_primes
 
 
 def record_at(p: int, q: int) -> MidpointRecord:
@@ -288,7 +288,7 @@ class TestCubeInterval:
         # and at width 1 the witness comes from a window after the first
         # whenever n**3 + 1 is composite.
         default = [check_cube_interval(n) for n in range(1, 31)]
-        monkeypatch.setattr(gapscan.claims, "CUBE_WINDOW", width)
+        monkeypatch.setattr(gapscan.primes, "MAX_WINDOW", width)
         for n, expected in zip(range(1, 31), default):
             result = check_cube_interval(n)
             primes = trial_division_primes(n**3 + 1, (n + 1) ** 3)

@@ -4,21 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gapscan.errors import (
-    InvalidRangeError,
-    MidpointUndefinedError,
-    NotConsecutiveError,
-    NotPrimeError,
-)
-from gapscan.midpoint import (
-    MidpointRecord,
-    PrimePair,
-    compute_record,
-    make_pair,
-)
+from gapscan.errors import InvalidRangeError, MidpointUndefinedError
+from gapscan.midpoint import MidpointRecord, PrimePair, compute_record
 from gapscan.primes import iter_consecutive_pairs, next_prime_above
 
-from conftest import count_odd_multiples, oracle_largest_odd_multiple
+from conftest import (
+    NotConsecutiveError,
+    NotPrimeError,
+    count_odd_multiples,
+    make_pair,
+    oracle_largest_odd_multiple,
+)
 
 
 def record_by_enumeration(p: int, q: int) -> MidpointRecord:

@@ -15,20 +15,24 @@ import gapscan
 import gapscan.claims
 import gapscan.primes
 import gapscan.scan
-from gapscan.claims import CUBE_WINDOW, check_cube_interval
+from gapscan.claims import check_cube_interval
 from gapscan.errors import InvalidRangeError, RangeTooLargeError
 from gapscan.primes import (
     _ZEROS,
     MAX_SIEVE_WIDTH,
+    MAX_WINDOW,
     SEGMENT_WIDTH,
+    UNIVERSE_LIMIT,
     Z,
     count_flags,
     is_prime,
     iter_consecutive_pairs,
     next_prime_above,
     sieve_range,
+    window_width,
     windows,
 )
+from gapscan.scan import scan_chunk
 
 from conftest import (
     flagged_primes,
@@ -267,7 +271,9 @@ class TestWindows:
     @settings(max_examples=80)
     def test_windows_cover_the_range_with_true_flags(self, lo, span, width):
         hi = lo + span
-        walk = list(windows(lo, hi, width))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(gapscan.primes, "MAX_WINDOW", width)
+            walk = list(windows(lo, hi))
         assert walk[0][0] == lo | 1
         for (base, flags), (next_base, _) in zip(walk, walk[1:]):
             assert base + 2 * len(flags) == next_base
@@ -279,10 +285,13 @@ class TestWindows:
 
     @pytest.mark.parametrize("width", [1, 7])
     @pytest.mark.parametrize("lo", [0, 1, 2, 3, 10, 11])
-    def test_bases_stay_odd_as_window_starts_change_parity(self, lo, width):
+    def test_bases_stay_odd_as_window_starts_change_parity(
+        self, monkeypatch, lo, width
+    ):
+        monkeypatch.setattr(gapscan.primes, "MAX_WINDOW", width)
         hi = lo + 60
         starts = range(lo, hi, width)
-        walk = list(windows(lo, hi, width))
+        walk = list(windows(lo, hi))
         assert [base for base, _ in walk] == [s | 1 for s in starts]
         assert [len(flags) for _, flags in walk] == [
             len(range(s | 1, min(s + width, hi), 2)) for s in starts
@@ -290,7 +299,7 @@ class TestWindows:
         found = [p for w in walk for p in flagged_primes(*w)]
         assert with_two(lo, hi, found) == trial_division_primes(lo, hi)
 
-    def test_default_width_is_segment_width(self):
+    def test_low_ranges_take_the_floor_width(self):
         walk = windows(0, SEGMENT_WIDTH + 5)
         assert [(base, len(flags)) for base, flags in walk] == [
             (1, SEGMENT_WIDTH // 2), (SEGMENT_WIDTH + 1, 2),
@@ -300,17 +309,9 @@ class TestWindows:
         with pytest.raises(InvalidRangeError):
             windows(30, 30)
         with pytest.raises(InvalidRangeError):
-            windows(30, 10, 4)
-
-    @pytest.mark.parametrize("width", [0, -4])
-    def test_rejects_width_below_one(self, width):
-        # Before the check, width 0 failed inside range() and a negative
-        # width yielded no window, so a pair walk lost every pair but (2, 3).
-        message = f"width must be >= 1, got {width}"
-        with pytest.raises(ValueError, match=message):
-            windows(2, 100, width)
-        with pytest.raises(ValueError, match=message):
-            list(iter_consecutive_pairs(2, 30, width))
+            windows(30, 10)
+        with pytest.raises(InvalidRangeError):
+            windows(-5, 0)
 
 
 @pytest.fixture
@@ -360,12 +361,24 @@ class TestBasePrimeCache:
         assert gapscan.primes._base_limit >= isqrt(201**3 - 1)
         assert_exact_store()
 
-    def test_growth_over_several_segment_widths(self, monkeypatch, cold_store):
+    def test_growth_over_several_window_widths(self, monkeypatch, cold_store):
         steps = count_calls(monkeypatch, gapscan.primes, "_sieve")
         sieve_range(10**14, 10**14 + 1)
         assert gapscan.primes._base_limit == 10**7
         assert len(steps) > 10**7 // SEGMENT_WIDTH
         assert all(hi - lo <= SEGMENT_WIDTH for lo, hi in steps[1:])
+        assert window_width(10**7) == SEGMENT_WIDTH
+        assert_exact_store()
+
+    def test_growth_steps_take_the_rule_at_the_limit(self, monkeypatch, cold_store):
+        # Under a floor of 1024, the rule at the limit 10**6 is 128 * 999
+        # numbers; the first steps are cut at the square of the store's limit.
+        monkeypatch.setattr(gapscan.primes, "SEGMENT_WIDTH", 1024)
+        steps = count_calls(monkeypatch, gapscan.primes, "_sieve")
+        sieve_range(10**12, 10**12 + 1)
+        widths = [hi - lo for lo, hi in steps[1:]]
+        assert widths[:3] == [169 - 13, 28561 - 169, 128 * 999]
+        assert max(widths) == 128 * 999 and sum(widths) == 10**6 - 13
         assert_exact_store()
 
     @pytest.mark.parametrize("torn", [False, True])
@@ -404,6 +417,14 @@ class TestBasePrimeCache:
         assert flags.count(1) == sum(map(is_prime, range(10**12, 10**12 + 10**4)))
 
 
+def readme_tour() -> str:
+    """The code block of the README's "Library quick tour" section."""
+    readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    return re.search(r"## Library quick tour\s+```python\n(.*?)```", text, re.S)[1]
+
+
 class TestTracedNames:
     def test_names_the_benchmark_tracer_wraps(self):
         # perfbench/tracing.py wraps these four by name, and counts hi - lo
@@ -430,26 +451,28 @@ class TestTracedNames:
             assert hasattr(gapscan, module), f"gapscan.{module}"
 
     def test_names_the_readme_tour_imports(self):
-        readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
-        with open(readme, encoding="utf-8") as fh:
-            tour = re.search(r"from gapscan import \(([^)]*)\)", fh.read())
+        tour = re.search(r"from gapscan import \(([^)]*)\)", readme_tour())
         names = re.findall(r"\w+", tour.group(1))
-        assert "make_pair" in names
+        assert "check_pair" in names
         for name in names:
             assert hasattr(gapscan, name), f"gapscan.{name}"
 
-    @pytest.mark.parametrize("n", [1, 3000])
+    def test_readme_tour_runs_as_written(self):
+        # Its scan starts 4 workers on one 2**24-number chunk.
+        exec(compile(readme_tour(), "README.md", "exec"), {})
+
+    @pytest.mark.parametrize("n", [1, 2, 500, 1000, 3000])
     def test_cube_interval_calls_the_traced_name_once_per_window(
         self, monkeypatch, cold_store, n
     ):
         # Base-prime growth sieves through the private body, so the traced
-        # name counts the cube windows and nothing else.
+        # name counts the cube windows and nothing else.  Every interval the
+        # benchmark's cubes workload checks (n <= 1000) is one window.
         calls = count_calls(monkeypatch, gapscan.primes, "sieve_range")
         check_cube_interval(n)
         lo, hi = n**3 + 1, (n + 1) ** 3
-        assert calls == [
-            (w, min(w + CUBE_WINDOW, hi)) for w in range(lo, hi, CUBE_WINDOW)
-        ]
+        width = window_width(hi)
+        assert calls == [(w, min(w + width, hi)) for w in range(lo, hi, width)]
         assert len(calls) == (2 if n == 3000 else 1)
 
     def test_one_number_window_calls_the_traced_name_once(
@@ -459,6 +482,44 @@ class TestTracedNames:
         gapscan.primes.sieve_range(10**12 + 39, 10**12 + 40)
         assert calls == [(10**12 + 39, 10**12 + 40)]
         assert gapscan.primes._base_limit == 10**6
+
+
+class TestWindowRule:
+    """`window_width` alone decides how wide a window is.  The scan tests
+    here and the cube interval test in TestTracedNames pin the sieve_range
+    calls of the ranges the benchmark walks, so a refit of the rule cannot
+    silently change what the benchmark measures."""
+
+    def test_clamps_128_isqrt_to_its_floor_and_cap(self):
+        assert window_width(1) == window_width(8192**2) == SEGMENT_WIDTH
+        assert window_width(8193**2 + 1) == 128 * 8193
+        assert window_width(2**38) == 128 * (2**19 - 1)
+        assert window_width(2**38 + 1) == window_width(UNIVERSE_LIMIT) == MAX_WINDOW
+        assert MAX_WINDOW == 128 * 2**19 == 2**26
+
+    def test_one_width_from_the_top_of_the_range(self, monkeypatch):
+        # Just past 8192**2 the rule gives 2**20 + 128 numbers, and at lo,
+        # below 8192**2, it would give 2**20.
+        calls = count_calls(monkeypatch, gapscan.primes, "sieve_range")
+        hi = 8193**2 + 1
+        lo = hi - 2**20 - 256
+        list(windows(lo, hi))
+        assert calls == [(lo, lo + 2**20 + 128), (lo + 2**20 + 128, hi)]
+        assert window_width(lo) == SEGMENT_WIDTH
+
+    def test_dense_scan_walks_floor_width_windows(self, monkeypatch):
+        calls = count_calls(monkeypatch, gapscan.primes, "sieve_range")
+        scan_chunk(2, 10**7)
+        assert calls == [
+            (w, min(w + 2**20, 10**7)) for w in range(2, 10**7, 2**20)
+        ]
+
+    def test_high_one_mebibyte_chunk_is_one_window(self, monkeypatch, cold_store):
+        # The cold store keeps the 1.9 million base primes below 3.2 * 10**7
+        # out of the rest of the session.
+        calls = count_calls(monkeypatch, gapscan.primes, "sieve_range")
+        scan_chunk(10**15, 10**15 + 2**20)
+        assert calls == [(10**15, 10**15 + 2**20)]
 
 
 class TestIsPrime:
@@ -533,12 +594,13 @@ class TestConsecutivePairs:
         ]
 
     @pytest.mark.parametrize("width", [1, 2, 7])
-    def test_pairs_from_two_at_narrow_widths(self, width):
+    def test_pairs_from_two_at_narrow_widths(self, monkeypatch, width):
         assert next(iter_consecutive_pairs(2, 10)) == (2, 3)
-        assert list(iter_consecutive_pairs(2, 12, segment_width=width)) == [
+        monkeypatch.setattr(gapscan.primes, "MAX_WINDOW", width)
+        assert list(iter_consecutive_pairs(2, 12)) == [
             (2, 3), (3, 5), (5, 7), (7, 11), (11, 13),
         ]
-        assert list(iter_consecutive_pairs(2, 3, segment_width=width)) == [(2, 3)]
+        assert list(iter_consecutive_pairs(2, 3)) == [(2, 3)]
 
     def test_primeless_window_emits_nothing(self):
         assert trial_division_primes(90, 97) == []
@@ -565,7 +627,9 @@ class TestConsecutivePairs:
     )
     @settings(max_examples=40)
     def test_pairs_chain_and_use_true_successors(self, lo: int, width: int):
-        pairs = list(iter_consecutive_pairs(lo, lo + width, segment_width=1024))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(gapscan.primes, "MAX_WINDOW", 1024)
+            pairs = list(iter_consecutive_pairs(lo, lo + width))
         for (p, q), (p2, _) in zip(pairs, pairs[1:]):
             assert q == p2
         for p, q in pairs:

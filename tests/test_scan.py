@@ -18,6 +18,7 @@ from gapscan.errors import (
     IdentityCheckError,
     OverlappingRangesError,
 )
+import gapscan.primes
 import gapscan.scan
 from gapscan.primes import iter_consecutive_pairs
 from gapscan.scan import (
@@ -190,20 +191,26 @@ class TestReferenceEquality:
             lo, lo + width, claims=claims
         )
 
-    @pytest.mark.parametrize("width", [16, 1024])
     @pytest.mark.parametrize(
-        "lo, hi",
+        "lo, hi, width",
         [
-            (2, 40000),  # the gaps of 34 at 1327 and 72 at 31397
-            (47326600, 47327000),  # the gap of 220 at 47326693
+            (2, 40000, 16),  # the gaps of 34 at 1327 and 72 at 31397
+            (2, 40000, 1024),
+            (47326600, 47327000, 16),  # the gap of 220 at 47326693
+            (47326600, 47327000, 1024),
+            # One window of the rule at 10**12, four under a 2**20 cap.
+            (10**12, 10**12 + 2**22, 2**20),
         ],
     )
-    def test_gaps_spanning_whole_windows(self, monkeypatch, width, lo, hi):
-        monkeypatch.setattr(gapscan.scan, "SEGMENT_WIDTH", width)
+    def test_gaps_spanning_whole_windows(self, monkeypatch, lo, hi, width):
+        by_rule = full_scan(lo, hi)
+        monkeypatch.setattr(gapscan.primes, "MAX_WINDOW", width)
         report = full_scan(lo, hi)
         # At width 16, the range's largest gap spans whole windows.
         assert width > 16 or max(r.g for r in report.gap_records) > 2 * width
-        assert report == reference_scan(lo, hi)
+        assert report == by_rule
+        # The every-pair reference takes seconds over 2**22 numbers at 10**12.
+        assert hi - lo > 10**5 or report == reference_scan(lo, hi)
 
     @pytest.mark.parametrize("width", [1, 7])
     @pytest.mark.parametrize(
@@ -212,7 +219,7 @@ class TestReferenceEquality:
     def test_two_and_windows_without_odd_numbers(self, monkeypatch, width, lo, hi):
         # 2 has no sieve flag but opens the first pair of a range holding
         # it, and at width 1 every other window holds no odd number.
-        monkeypatch.setattr(gapscan.scan, "SEGMENT_WIDTH", width)
+        monkeypatch.setattr(gapscan.primes, "MAX_WINDOW", width)
         assert full_scan(lo, hi) == reference_scan(lo, hi)
 
     @given(
