@@ -46,7 +46,9 @@ DEFAULT_VIOLATION_CAP = 100
 CHECKPOINT_VERSION = 1
 # Each save waits for the disk (tens of ms on ext4), so between the halt and
 # final saves run_scan saves at most once per this many wall seconds; a crash
-# loses at most that much merged work.
+# loses at most that much merged work, plus what the workers hold unmerged:
+# the batch each one is scanning, at most primes.SEGMENT_WIDTH numbers or one
+# chunk (see run_scan), and any chunks done ahead of an earlier one.
 CHECKPOINT_INTERVAL_S = 1.0
 
 
@@ -119,12 +121,8 @@ class ClaimCounter:
         )
 
 
-# What one evaluated outcome adds to its claim's counter.
-_TALLY = {
-    Status.PASS: ClaimCounter(checked=1, passed=1),
-    Status.VACUOUS_PASS: ClaimCounter(checked=1, vacuous=1),
-    Status.FAIL: ClaimCounter(checked=1, failed=1),
-}
+# The column of a ChunkTally row that an outcome's status counts in.
+_COLUMN = {Status.PASS: 0, Status.VACUOUS_PASS: 1, Status.FAIL: 2}
 
 
 @dataclass(frozen=True)
@@ -208,14 +206,17 @@ def _icbrt(n: int) -> int:
 class ChunkTally:
     """What the pairs of one chunk add up to.  `pairs` counts every pair the
     chunk owns; the few that `scan_chunk`'s lemma cannot settle go through
-    `evaluate`, and `report` settles the rest."""
+    `evaluate`, and `report` settles the rest.  `claims` holds the enabled
+    claims in PAIR_CLAIMS order, and `rows` [passed, vacuous, failed] for
+    each."""
 
     def __init__(self, claims: Iterable[ClaimId], violation_cap: int) -> None:
-        self.claims = frozenset(claims)
+        enabled = frozenset(claims)
+        self.claims = tuple(c for c in PAIR_CLAIMS if c in enabled)
         self.violation_cap = violation_cap
         self.pairs = 0
         self.evaluated = 0
-        self.counters = {c: ClaimCounter() for c in self.claims}
+        self.rows = [[0, 0, 0] for _ in self.claims]
         self.violations: list[ClaimOutcome] = []
         self.histogram: dict[int, int] = {}
         self.gap_records: list[GapRecord] = []
@@ -236,7 +237,11 @@ class ChunkTally:
         record, outcomes = check_pair(p, q, self.claims)
         if record is not None:
             self.histogram[record.c_lo] = self.histogram.get(record.c_lo, 0) + 1
-        for outcome in outcomes:
+        # check_pair returns the enabled checks in PAIR_CLAIMS order, and the
+        # pair at p = 2 gets THEOREM_CUBE_BOUND alone, the last of them, so
+        # the outcomes line up with the last len(outcomes) rows.
+        rows = self.rows[len(self.rows) - len(outcomes):]
+        for row, outcome in zip(rows, outcomes):
             if outcome.status is Status.FAIL:
                 if outcome.claim is ClaimId.IDENTITIES:
                     raise IdentityCheckError(
@@ -245,7 +250,7 @@ class ChunkTally:
                     )
                 if len(self.violations) < self.violation_cap:
                     self.violations.append(outcome)
-            self.counters[outcome.claim] += _TALLY[outcome.status]
+            row[_COLUMN[outcome.status]] += 1
 
     def threshold(self, p: int) -> int:
         """The t of `scan_chunk`'s lemma for a search starting at the prime
@@ -262,18 +267,20 @@ class ChunkTally:
         histogram = self.histogram
         if discharged:
             histogram = {**histogram, 0: histogram.get(0, 0) + discharged}
+        per_claim = {}
+        for claim, (passed, vacuous, failed) in zip(self.claims, self.rows):
+            if claim is ClaimId.COR_PRODUCT:
+                vacuous += discharged
+            else:
+                passed += discharged
+            per_claim[claim] = ClaimCounter(
+                passed + vacuous + failed, passed, vacuous, failed
+            )
         return ScanReport(
             start=lo,
             stop=hi,
             pairs_checked=self.pairs,
-            per_claim={
-                claim: counter + ClaimCounter(
-                    checked=discharged,
-                    passed=0 if claim is ClaimId.COR_PRODUCT else discharged,
-                    vacuous=discharged if claim is ClaimId.COR_PRODUCT else 0,
-                )
-                for claim, counter in self.counters.items()
-            },
+            per_claim=per_claim,
             violations=self.violations,
             max_ratio=self.best,
             gap_records=self.gap_records,
@@ -490,6 +497,12 @@ def run_scan(
     `halt_after_chunks` stops early after that many newly merged chunks, at
     least 1 (the checkpoint, if configured, then allows an exact resume);
     used to exercise interrupt/resume.
+
+    With more than one worker, chunks go to the pool in batches of
+    max(1, min(tasks // (4 * workers), primes.SEGMENT_WIDTH // chunk_size)),
+    tasks being the chunks left: at least 4 batches per worker where there
+    are that many chunks, and at most SEGMENT_WIDTH numbers or one chunk
+    each.  Merges, `progress`, halts and checkpoints go chunk by chunk.
     """
     if halt_after_chunks is not None and halt_after_chunks < 1:
         raise ValueError(f"halt_after_chunks must be >= 1, got {halt_after_chunks}")
@@ -521,7 +534,11 @@ def run_scan(
         if pool is None:
             reports = map(_scan_chunk_task, tasks)
         else:
-            reports = pool.imap(_scan_chunk_task, tasks)
+            batch = min(
+                len(tasks) // (4 * workers),
+                primes.SEGMENT_WIDTH // config.chunk_size,
+            )
+            reports = pool.imap(_scan_chunk_task, tasks, max(1, batch))
         for newly_done, (chunk, report) in enumerate(zip(remaining, reports), 1):
             partial = report if partial is None else merge_reports(partial, report)
             done += 1

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import re
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from types import SimpleNamespace
@@ -645,6 +648,109 @@ class TestCheckpoint:
         base = ScanConfig(start=2, stop=5000, workers=1)
         assert base.digest() == ScanConfig(start=2, stop=5000, workers=7).digest()
         assert base.digest() != ScanConfig(start=2, stop=5001, workers=1).digest()
+
+
+class TestPool:
+    def test_halt_and_resume_under_a_pool(self, tmp_path):
+        # 49 chunks on 2 workers go out 6 to a batch, so the halt at 5 falls
+        # inside the first batch.
+        path = str(tmp_path / "scan.ckpt")
+        config = ScanConfig(start=2, stop=2 * 10**5, chunk_size=1 << 12,
+                            checkpoint_path=path, workers=2)
+        plan = plan_chunks(config)
+        seen = []
+
+        def progress(done, total, chunk):
+            seen.append((done, total, chunk))
+
+        partial = run_scan(config, progress, halt_after_chunks=5)
+        assert multiprocessing.active_children() == []
+        state = load_checkpoint(path)
+        assert state.completed == plan[:5]
+        assert state.partial == partial
+        prefix = ScanConfig(start=2, stop=plan[4][1], chunk_size=1 << 12, workers=1)
+        assert partial == run_scan(prefix)
+
+        resumed = run_scan(config, progress)
+        assert multiprocessing.active_children() == []
+        uninterrupted = run_scan(
+            ScanConfig(start=2, stop=2 * 10**5, chunk_size=1 << 12, workers=1)
+        )
+        assert resumed == uninterrupted
+        assert seen == [
+            (done, len(plan), chunk) for done, chunk in enumerate(plan, 1)
+        ]
+
+    @staticmethod
+    def batch_sizes(monkeypatch, config: ScanConfig) -> list[tuple[int, int]]:
+        """The (workers, chunksize) of each pool run_scan opens for config,
+        from a stand-in pool that scans in this process; the scan halts
+        after its first chunk."""
+        opened = []
+
+        class RecordingPool:
+            def __init__(self, workers):
+                self.workers = workers
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return None
+
+            def imap(self, fn, tasks, chunksize=1):
+                opened.append((self.workers, chunksize))
+                return map(fn, tasks)
+
+        monkeypatch.setattr(
+            gapscan.scan, "get_context", lambda: SimpleNamespace(Pool=RecordingPool)
+        )
+        run_scan(config, halt_after_chunks=1)
+        return opened
+
+    @pytest.mark.parametrize("chunk_size", [1 << 20, 1 << 22, 1 << 24])
+    def test_one_chunk_per_message_from_a_floor_window_up(
+        self, monkeypatch, chunk_size
+    ):
+        config = ScanConfig(start=2, stop=2 + 64 * chunk_size,
+                            chunk_size=chunk_size, workers=2)
+        assert self.batch_sizes(monkeypatch, config) == [(2, 1)]
+
+    def test_cheap_chunks_fill_a_floor_window(self, monkeypatch):
+        # The parallel checkpointed benchmark's shape: 306 chunks.
+        config = ScanConfig(start=2, stop=2 * 10**7, chunk_size=1 << 16, workers=2)
+        assert self.batch_sizes(monkeypatch, config) == [(2, 16)]
+
+    @pytest.mark.parametrize("chunks", [2, 7, 8, 9, 17, 33, 100])
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_short_plan_gives_each_worker_four_messages(
+        self, monkeypatch, chunks, workers
+    ):
+        config = ScanConfig(start=2, stop=2 + chunks * 1024, chunk_size=1024,
+                            workers=workers)
+        [(opened, batch)] = self.batch_sizes(monkeypatch, config)
+        assert opened == min(workers, chunks)
+        messages = -(-chunks // batch)
+        assert messages >= min(chunks, 4 * opened)
+        assert batch * 1024 <= gapscan.primes.SEGMENT_WIDTH
+
+    def test_per_claim_order_ignores_hash_seed(self):
+        # ClaimId hashes are string hashes, so an order taken from a set
+        # would change with PYTHONHASHSEED.
+        script = (
+            "from gapscan.scan import scan_chunk; "
+            "print(' '.join(c.value for c in scan_chunk(2, 1000).per_claim))"
+        )
+        src = os.path.dirname(os.path.dirname(gapscan.scan.__file__))
+        orders = []
+        for seed in ("0", "1"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+            done = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True,
+                text=True, check=True, timeout=60,
+            )
+            orders.append(done.stdout.split())
+        assert orders[0] == orders[1] == [c.value for c in PAIR_CLAIMS]
 
 
 class TestScanConfigValidation:
