@@ -52,7 +52,7 @@ class Status(Enum):
 
 @dataclass(frozen=True)
 class ClaimOutcome:
-    """Result of one check on one pair (pair_p is N for CUBE_INTERVAL).
+    """Result of one per-pair check on the pair starting at pair_p.
 
     lhs/rhs carry the two evaluated sides of the claim's comparison; for
     IDENTITIES they carry the first violated equation's sides (0, 0 when
@@ -182,10 +182,6 @@ class CubeIntervalResult:
     witness: int
     status: Status
 
-    def to_outcome(self) -> ClaimOutcome:
-        # Encoded as count >= 1.
-        return ClaimOutcome(ClaimId.CUBE_INTERVAL, self.n, self.status, self.count, 1)
-
 
 def check_cube_interval(n: int) -> CubeIntervalResult:
     """Count primes strictly between n**3 and (n+1)**3.
@@ -200,8 +196,6 @@ def check_cube_interval(n: int) -> CubeIntervalResult:
     if cube_hi >= UNIVERSE_LIMIT:
         raise OverflowError(f"(n+1)**3 = {cube_hi} leaves the 2**63 universe")
     count = witness = 0
-    if cube_lo < 2:  # n = 1: 2, which has no sieve flag, is the witness
-        count, witness = 1, 2
     for base, flags in windows(cube_lo + 1, cube_hi):
         count += count_flags(flags)
         if not witness and (i := flags.find(1)) >= 0:

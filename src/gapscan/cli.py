@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import sys
+from dataclasses import fields
 from typing import Iterable, Sequence
 
 from .claims import PAIR_CLAIMS, ClaimId, Status, check_cube_interval, check_pair
@@ -23,12 +24,12 @@ from .errors import (
     CheckpointMismatchError,
     IdentityCheckError,
 )
-from .primes import UNIVERSE_LIMIT, next_prime_above
+from .midpoint import MidpointRecord, PrimePair
+from .primes import SCAN_LIMIT, UNIVERSE_LIMIT, next_prime_above
 from .scan import (
     DEFAULT_CHUNK_SIZE,
     DEFAULT_VIOLATION_CAP,
     ScanConfig,
-    ScanReport,
     default_workers,
     run_scan,
 )
@@ -38,11 +39,14 @@ EXIT_FINDING = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
-RECORD_COLUMNS = (
-    "p", "q", "g", "m", "b", "m2",
-    "x_lo", "x_hi", "c_lo", "c_hi",
-    "alpha_mult", "beta_mult", "delta",
+RECORD_COLUMNS = tuple(
+    f.name for cls in (PrimePair, MidpointRecord) for f in fields(cls)
+    if f.name != "pair"
 )
+
+# What a command returns for `run` to write: its exit code, its JSON
+# document, and its CSV table as rows.
+Result = tuple[int, object, Iterable[Iterable]]
 
 
 def _parse_claims(text: str) -> frozenset[ClaimId]:
@@ -78,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--from", dest="start", type=int, required=True,
                       help="inclusive lower bound (>= 2)")
     scan.add_argument("--to", dest="stop", type=int, required=True,
-                      help="exclusive upper bound (<= 2**63)")
+                      help="exclusive upper bound (<= 10**16)")
     scan.add_argument("--chunk-size", type=int, default=DEFAULT_CHUNK_SIZE)
     scan.add_argument("--jobs", type=int, default=0,
                       help="worker processes (default: all cores)")
@@ -111,36 +115,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if not text.endswith("\n"):
-        text += "\n"
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
-def _csv(*rows: Iterable) -> str:
-    buf = io.StringIO()
-    csv.writer(buf).writerows(rows)
-    return buf.getvalue()
-
-
-def _report_csv(report: ScanReport) -> str:
-    return _csv(
-        ("claim", "checked", "passed", "vacuous", "failed"),
-        *([claim, *counter.values()]
-          for claim, counter in to_json(report.per_claim).items()),
-    )
-
-
 def _progress(done: int, total: int, chunk: tuple[int, int]) -> None:
     print(f"[{done}/{total}] chunk [{chunk[0]}, {chunk[1]}) merged",
           file=sys.stderr)
 
 
-def _cmd_scan(args: argparse.Namespace) -> int:
+def _cmd_scan(args: argparse.Namespace) -> Result:
     if args.jobs < 0:
         raise ValueError("--jobs must be >= 0")
     config = ScanConfig(
@@ -153,14 +133,16 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         checkpoint_path=args.checkpoint,
     )
     report = run_scan(config, progress=_progress)
-    if args.format == "json":
-        _emit(json.dumps(report.to_json_dict(), indent=2), args.out)
-    else:
-        _emit(_report_csv(report), args.out)
-    return EXIT_FINDING if report.total_failed() > 0 else EXIT_OK
+    document = report.to_json_dict()
+    table = [
+        ("claim", "checked", "passed", "vacuous", "failed"),
+        *([claim, *counter.values()]
+          for claim, counter in document["per_claim"].items()),
+    ]
+    return EXIT_FINDING if report.total_failed() > 0 else EXIT_OK, document, table
 
 
-def _cmd_pair(args: argparse.Namespace) -> int:
+def _cmd_pair(args: argparse.Namespace) -> Result:
     lower = args.lower_bound
     if lower > UNIVERSE_LIMIT:
         raise ValueError(f"lower bound {lower} exceeds 2**63")
@@ -173,66 +155,52 @@ def _cmd_pair(args: argparse.Namespace) -> int:
         record_json.pop("pair") if record_json
         else {"p": to_json(p), "q": to_json(q), "g": to_json(q - p)}
     )
-
-    if args.format == "json":
-        document = {
-            "pair": pair_json,
-            "record": record_json,
-            "claims": to_json(outcomes),
-        }
-        _emit(json.dumps(document, indent=2), None)
-    else:
-        row = [*pair_json.values(), *(record_json or {}).values()]
-        _emit(_csv(
-            RECORD_COLUMNS,
-            row + [""] * (len(RECORD_COLUMNS) - len(row)),
-            (),
-            ("claim", "pair_p", "status", "lhs", "rhs"),
-            *(o.values() for o in to_json(outcomes)),
-        ), None)
-
-    failed = [o for o in outcomes if o.status is Status.FAIL]
-    if any(o.claim is ClaimId.IDENTITIES for o in failed):
-        return EXIT_INTERNAL
-    return EXIT_FINDING if failed else EXIT_OK
+    outcomes_json = to_json(outcomes)
+    document = {"pair": pair_json, "record": record_json, "claims": outcomes_json}
+    row = [*pair_json.values(), *(record_json or {}).values()]
+    table = [
+        RECORD_COLUMNS,
+        row + [""] * (len(RECORD_COLUMNS) - len(row)),
+        (),
+        ("claim", "pair_p", "status", "lhs", "rhs"),
+        *(o.values() for o in outcomes_json),
+    ]
+    failed = {o.claim for o in outcomes if o.status is Status.FAIL}
+    if ClaimId.IDENTITIES in failed:
+        return EXIT_INTERNAL, document, table
+    return EXIT_FINDING if failed else EXIT_OK, document, table
 
 
-def _cmd_cubes(args: argparse.Namespace) -> int:
+def _cmd_cubes(args: argparse.Namespace) -> Result:
     if args.max_n < 1:
         raise ValueError("--max-n must be >= 1")
-    if (args.max_n + 1) ** 3 >= UNIVERSE_LIMIT:
-        raise ValueError(f"--max-n {args.max_n}: (max_n + 1)**3 exceeds 2**63")
+    if (args.max_n + 1) ** 3 > SCAN_LIMIT:
+        raise ValueError(f"--max-n {args.max_n}: (max_n + 1)**3 exceeds 10**16")
     results = [check_cube_interval(n) for n in range(1, args.max_n + 1)]
-    if args.format == "json":
-        document = {"max_n": to_json(args.max_n), "results": to_json(results)}
-        _emit(json.dumps(document, indent=2), None)
-    else:
-        _emit(_csv(
-            ("n", "count", "witness", "status"),
-            *(r.values() for r in to_json(results)),
-        ), None)
+    results_json = to_json(results)
+    document = {"max_n": to_json(args.max_n), "results": results_json}
+    table = [("n", "count", "witness", "status"), *(r.values() for r in results_json)]
     failing = [r for r in results if r.status is Status.FAIL]
-    return EXIT_FINDING if failing else EXIT_OK
+    return EXIT_FINDING if failing else EXIT_OK, document, table
 
 
-def _cmd_records(args: argparse.Namespace) -> int:
+def _cmd_records(args: argparse.Namespace) -> Result:
     config = ScanConfig(start=2, stop=args.stop, claims=frozenset())
     report = run_scan(config, progress=_progress)
-    if args.format == "json":
-        data = report.to_json_dict()
-        document = {k: data[k] for k in ("range", "gap_records", "max_ratio")}
-        _emit(json.dumps(document, indent=2), None)
-    else:
-        rows = [("gap", r.p, r.g, "", "") for r in report.gap_records]
-        if report.max_ratio is not None:
-            m = report.max_ratio
-            rows.append(("max_ratio", m.p, m.g, m.g_cubed, m.p_squared))
-        _emit(_csv(("record_type", "p", "g", "g_cubed", "p_squared"), *rows), None)
-    return EXIT_OK
+    data = report.to_json_dict()
+    document = {k: data[k] for k in ("range", "gap_records", "max_ratio")}
+    table = [("record_type", "p", "g", "g_cubed", "p_squared")]
+    table += [("gap", r.p, r.g, "", "") for r in report.gap_records]
+    if report.max_ratio is not None:
+        m = report.max_ratio
+        table.append(("max_ratio", m.p, m.g, m.g_cubed, m.p_squared))
+    return EXIT_OK, document, table
 
 
 def run(argv: Sequence[str]) -> int:
-    """Parse argv, dispatch, and map errors to exit codes."""
+    """Parse argv, dispatch, write the result, and map errors to exit
+    codes.  This is the one place a command's output is written: to --out
+    where the command has it and the user gave it, else to stdout."""
     parser = _build_parser()
     try:
         args = parser.parse_args(list(argv))
@@ -240,7 +208,20 @@ def run(argv: Sequence[str]) -> int:
         code = exc.code if exc.code is not None else 0
         return code if isinstance(code, int) else EXIT_USAGE
     try:
-        return args.func(args)
+        code, document, table = args.func(args)
+        if args.format == "json":
+            text = json.dumps(document, indent=2) + "\n"
+        else:
+            buf = io.StringIO()
+            csv.writer(buf).writerows(table)
+            text = buf.getvalue()
+        out_path = getattr(args, "out", None)
+        if out_path is None:
+            sys.stdout.write(text)
+        else:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        return code
     except (IdentityCheckError, CheckpointCorruptError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

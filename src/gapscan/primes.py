@@ -9,10 +9,11 @@ touches sieve data.
 Sieve layout: odd numbers only, one flag byte each.  The flags of a range
 [lo, hi) start at base = lo | 1, the first odd number at or past lo, and
 ``flags[i]`` stands for ``base + 2*i``.  The one even prime, 2, has no
-flag, so every consumer counts it by its own explicit rule whenever
-lo <= 2 < hi.  A window's flags start as a rotation of a fixed pattern
-with every multiple of 3, 5, 7, 11 and 13 struck, tiled from one period
-of 15015 odd numbers, so the base-prime loop starts at 17.
+sieve flag; `windows` alone supplies it, as a one-flag window of base 2
+ahead of the sieve windows whenever lo <= 2 < hi.  A window's flags start
+as a rotation of a fixed pattern with every multiple of 3, 5, 7, 11 and 13
+struck, tiled from one period of 15015 odd numbers, so the base-prime loop
+starts at 17.
 
 One rule, `window_width(hi)`, sets how wide the windows of a range ending
 at hi are: 128 * isqrt(hi - 1) numbers, clamped to [SEGMENT_WIDTH,
@@ -30,7 +31,7 @@ base primes as Python ints.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from itertools import compress, islice, repeat
+from itertools import chain, compress, islice, repeat
 from math import isqrt
 from operator import mod
 from typing import Iterator
@@ -39,6 +40,11 @@ from zlib import adler32
 from .errors import InvalidRangeError, RangeTooLargeError
 
 UNIVERSE_LIMIT = 1 << 63
+
+# The highest stop `ScanConfig.validate` and the cubes command accept: the
+# base primes of a window ending at hi are pi(isqrt(hi - 1)) Python ints,
+# 5.76 million and 241 MiB at 10**16, and several GB near 2**63.
+SCAN_LIMIT = 10**16
 
 # The narrowest and the widest window `window_width` picks, in numbers
 # (512 KiB and 32 MiB of flags).
@@ -120,9 +126,9 @@ def sieve_range(lo: int, hi: int) -> bytearray:
 
     ``flags[i]`` is 1 exactly when ``(lo | 1) + 2*i`` is prime, one byte per
     odd number, so ``len(flags)`` is the count of odd numbers in [lo, hi)
-    (0 for [2, 3)).  2 has no flag: a caller whose range holds it counts it
-    by its own rule.  The range must fit in one allocation (width
-    hi - lo <= MAX_SIEVE_WIDTH numbers); walk big ranges with `windows`.
+    (0 for [2, 3)).  2 has no flag: `windows` yields it in a window of its
+    own.  The range must fit in one allocation (width hi - lo <=
+    MAX_SIEVE_WIDTH numbers); walk big ranges with `windows`.
 
     The flags start as one period of `_PATTERN` from index
     (base >> 1) mod 15015, where base = lo | 1, repeated to length: every
@@ -290,21 +296,26 @@ def window_width(hi: int) -> int:
 
 
 def windows(lo: int, hi: int) -> Iterator[tuple[int, bytearray]]:
-    """Yield (base, flags) for contiguous windows of `window_width(hi)`
-    numbers, the last one cut at hi, that cover [lo, hi) in order: flags
-    is the window's `sieve_range` and base the first odd number at or past
-    the window's start, so ``flags[i]`` stands for ``base + 2*i``.  One
-    window ends where the next begins: base + 2 * len(flags) is the next
-    window's base.  A window holding no odd number yields empty flags, and
-    2 is never flagged.  The range is checked at the call; each window is
-    sieved when the walk reaches it."""
+    """Yield (base, flags) windows that flag the primes of [lo, hi) in
+    order: ``flags[i]`` is 1 exactly when ``base + 2*i`` is prime.
+
+    When lo <= 2 < hi, the first window has base 2 and one flag, set, in a
+    bytearray fresh to each call: flag 0 stands for 2, the one prime no
+    sieve flag holds.  The sieve windows follow: contiguous windows of
+    `window_width(hi)` numbers, the last one cut at hi, that cover
+    [lo, hi) in order, flags being the window's `sieve_range` and base the
+    first odd number at or past the window's start.  One sieve window ends
+    where the next begins: base + 2 * len(flags) is the next one's base.
+    A window holding no odd number yields empty flags.  The range is
+    checked at the call; each window is sieved when the walk reaches it."""
     if not 0 <= lo < hi:
         raise InvalidRangeError(f"empty, reversed or negative range [{lo}, {hi})")
     width = window_width(hi)
-    return (
+    sieved = (
         (window_lo | 1, sieve_range(window_lo, min(window_lo + width, hi)))
         for window_lo in range(lo, hi, width)
     )
+    return chain([(2, bytearray(b"\x01"))], sieved) if lo <= 2 < hi else sieved
 
 
 def iter_consecutive_pairs(lo: int, hi: int) -> Iterator[tuple[int, int]]:
@@ -313,8 +324,7 @@ def iter_consecutive_pairs(lo: int, hi: int) -> Iterator[tuple[int, int]]:
     q is always the true successor prime, found past hi when the last prime
     of the range needs it.
     """
-    # 2, the one even prime, has no flag: it heads the range's first pair.
-    prev = 2 if lo <= 2 < hi else None
+    prev = None
     for base, flags in windows(lo, hi):
         i = flags.find(1)
         while i >= 0:

@@ -36,7 +36,6 @@ from .errors import (
     IdentityCheckError,
     OverlappingRangesError,
 )
-from .primes import UNIVERSE_LIMIT
 # perfbench/tracing.py wraps gapscan.scan.iter_consecutive_pairs by name.
 from .primes import iter_consecutive_pairs  # noqa: F401
 
@@ -77,8 +76,8 @@ class ScanConfig:
             raise ValueError(f"scan start must be >= 2, got {self.start}")
         if self.start >= self.stop:
             raise ValueError(f"empty or reversed range [{self.start}, {self.stop})")
-        if self.stop > UNIVERSE_LIMIT:
-            raise ValueError(f"scan stop {self.stop} exceeds 2**63")
+        if self.stop > primes.SCAN_LIMIT:
+            raise ValueError(f"scan stop {self.stop} exceeds 10**16")
         if self.chunk_size < MIN_CHUNK_SIZE:
             raise ValueError(f"chunk_size must be >= {MIN_CHUNK_SIZE}")
         if self.workers < 1:
@@ -312,15 +311,15 @@ def scan_chunk(
     p >= P > 2 and g <= t neither sets a gap record, nor beats the best
     ratio (g**3 * bp2 <= bg3 * p**2), and has g**2 < 8p.
 
-    The flags are odd-only (`primes.sieve_range`), so 2 has none: when
-    lo <= 2 < hi, 2 is counted here and opens the chunk's first pair, (2, 3),
-    which is evaluated like a window-crossing pair (or as the last pair when
-    hi = 3).  Odd primes p < q sit g / 2 flags apart, with g / 2 - 1 zero
-    flags between them, and g is even, so g > t exactly when
-    g >= 2 * (t >> 1) + 2, that is, when g / 2 - 1 >= t >> 1.  The first
-    run of t >> 1 zero flags past P's flag therefore starts right after the
-    first prime at or past P whose gap exceeds t, and the zero-run search
-    finds exactly the pairs to evaluate.
+    2 has no sieve flag; `primes.windows` yields it in a one-flag window of
+    its own, so it opens the chunk's first pair, (2, 3), which is evaluated
+    like a window-crossing pair (or as the last pair when hi = 3).  Odd
+    primes p < q sit g / 2 flags apart, with g / 2 - 1 zero flags between
+    them, and g is even, so g > t exactly when g >= 2 * (t >> 1) + 2, that
+    is, when g / 2 - 1 >= t >> 1.  The first run of t >> 1 zero flags past
+    P's flag therefore starts right after the first prime at or past P
+    whose gap exceeds t, and the zero-run search finds exactly the pairs to
+    evaluate.
 
     Lemma: for odd p < q with g = q - p, b = g / 2 and g**2 < 8p, every
     check passes, and COR_PRODUCT vacuously.  b**2 = g**2 / 4 < 2p < 2q,
@@ -341,9 +340,6 @@ def scan_chunk(
     tally = ChunkTally(claims, violation_cap)
 
     prev = None  # the last prime of the windows so far; its pair is open
-    if lo <= 2 < hi:
-        tally.pairs += 1
-        prev = 2
     for base, flags in walk:
         i = flags.find(1)
         if i < 0:

@@ -2,13 +2,16 @@
 package code.
 
 The sieve here keeps one flag byte per number (the package sieves odd
-numbers only, from a presieved pattern), and primality falls back to trial
-division, so agreement between the two sides is meaningful.
-`reference_scan` is the plain every-pair scan that `scan_chunk`'s shortcut
-must equal, and `make_pair` the validated pair constructor the record
-tests build their pairs with.  The `crafted_pairs` fixture feeds chosen non-genuine pairs to
-the scan, which is how the failure and exit-code paths are reached:
-genuine consecutive primes never fail a claim.
+numbers only, from a presieved pattern, and supplies 2 by a rule of its
+own), and primality falls back to trial division, so agreement between the
+two sides is meaningful.  `oracle_consecutive_pairs` walks a range's pairs
+on that sieve, with the package's Miller-Rabin test only for the last
+successor; `reference_scan`, the plain every-pair scan that `scan_chunk`'s
+shortcut must equal, takes its pairs from it, and `make_pair` is the
+validated pair constructor the record tests build their pairs with.  The
+`crafted_pairs` fixture feeds chosen non-genuine pairs to the scan, which
+is how the failure and exit-code paths are reached: genuine consecutive
+primes never fail a claim.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from gapscan.errors import (
     MidpointUndefinedError,
 )
 from gapscan.midpoint import PrimePair, compute_record
-from gapscan.primes import is_prime, iter_consecutive_pairs
+from gapscan.primes import is_prime
 from gapscan.scan import ClaimCounter, GapRecord, RatioRecord, ScanReport
 
 # count_odd_multiples enumerates while the span is at most this many times
@@ -114,6 +117,26 @@ def oracle_primes_below(limit: int) -> list[int]:
 
 def oracle_count_primes_below(limit: int) -> int:
     return _oracle_flags(limit).count(1)
+
+
+def oracle_consecutive_pairs(lo: int, hi: int) -> Iterator[tuple[int, int]]:
+    """Every consecutive-prime pair (p, q) with lo <= p < hi, 0 <= lo < hi,
+    found without the package's sieve: [lo, hi) is sieved one byte per
+    number by the oracle primes up to isqrt(hi - 1), and the successor of
+    its last prime is found by stepping `is_prime` (Miller-Rabin)."""
+    flags = bytearray(b"\x01") * (hi - lo)
+    for n in range(lo, min(2, hi)):
+        flags[n - lo] = 0  # 0 and 1 are not prime
+    for p in oracle_primes_below(isqrt(hi - 1) + 1):
+        first = max(p * p, -(-lo // p) * p) - lo
+        flags[first::p] = bytes(len(range(first, hi - lo, p)))
+    found = list(compress(range(lo, hi), flags))
+    if found:
+        q = found[-1] + 1
+        while not is_prime(q):
+            q += 1
+        found.append(q)
+    return zip(found, found[1:])
 
 
 def oracle_gap_records(primes: list[int], stop: int) -> list[tuple[int, int]]:
@@ -191,7 +214,7 @@ def stream_consecutive_pairs(
     Returns the number of pairs emitted.
     """
     count = 0
-    for p, q in iter_consecutive_pairs(lo, hi):
+    for p, q in oracle_consecutive_pairs(lo, hi):
         emit(p, q)
         count += 1
     return count
@@ -234,7 +257,7 @@ def reference_scan(
     best_gap = 0
     best: tuple[Fraction, int, int] | None = None
     pairs = 0
-    for p, q in chain(fed, iter_consecutive_pairs(lo, hi)):
+    for p, q in chain(fed, oracle_consecutive_pairs(lo, hi)):
         pairs += 1
         g = q - p
         if g > best_gap:

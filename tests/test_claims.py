@@ -303,13 +303,6 @@ class TestCubeInterval:
         with pytest.raises(OverflowError):
             check_cube_interval(2**21)
 
-    def test_outcome_encoding(self):
-        outcome = check_cube_interval(3).to_outcome()
-        assert outcome.claim is ClaimId.CUBE_INTERVAL
-        assert outcome.pair_p == 3
-        assert outcome.status is Status.PASS
-        assert outcome.lhs >= outcome.rhs == 1
-
     def test_theorem_prefix_implies_occupancy(self):
         # If the cubed gap bound holds for every pair below (n+1)**3, some
         # prime must land between n**3 and (n+1)**3 (n beyond the manual

@@ -89,7 +89,7 @@ class TestCubesCommand:
         code, out, err = invoke(capsys, "cubes", "--max-n", str(2**21 - 1))
         assert code == 2
         assert out == ""
-        assert "2**63" in err
+        assert "10**16" in err
 
 
 class TestRecordsCommand:
@@ -285,6 +285,27 @@ class TestExitCodeFidelity:
             "--chunk-size", "16384", "--checkpoint", str(ckpt),
         )
         assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("scan", "--from", "2", "--to", "100", "--jobs", "-1"),
+        ("pair", str(2**63 + 1)),
+        ("cubes", "--max-n", "0"),
+        ("records", "--to", "1"),
+        # Past the scan limit of 10**16, rejected before any base prime is
+        # sieved: near 2**63 the base primes alone take several GB.
+        ("scan", "--from", str(2**63 - 100), "--to", str(2**63)),
+        ("records", "--to", str(10**16 + 1)),
+        ("cubes", "--max-n", "215443"),  # 215444**3 > 10**16 > 215443**3
+    ],
+)
+def test_usage_error_exits_two_and_writes_nothing(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 class TestHelp:

@@ -30,6 +30,9 @@ CASES = {
     "records-1000.json": ("records", "--to", "1000"),
     "records-1000.csv": ("records", "--to", "1000", "--format", "csv"),
     "scan-2-1000.json": ("scan", "--from", "2", "--to", "1000", "--jobs", "1"),
+    "scan-2-1000.csv": (
+        "scan", "--from", "2", "--to", "1000", "--jobs", "1", "--format", "csv",
+    ),
     "scan-2-10000000.json": ("scan", "--from", "2", "--to", "10000000", "--jobs", "1"),
 }
 

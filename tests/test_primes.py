@@ -45,14 +45,21 @@ from conftest import (
 )
 
 
-def with_two(lo: int, hi: int, odd_primes: list[int]) -> list[int]:
-    """The primes of [lo, hi): 2 has no sieve flag, so every consumer adds
-    it by the same rule when the range holds it."""
+def segment_primes(lo: int, hi: int) -> list[int]:
+    """The primes of [lo, hi) by `sieve_range`, with 2, which has no sieve
+    flag, added by the rule `windows` follows."""
+    odd_primes = list(flagged_primes(lo | 1, sieve_range(lo, hi)))
     return [2] * (lo <= 2 < hi) + odd_primes
 
 
-def segment_primes(lo: int, hi: int) -> list[int]:
-    return with_two(lo, hi, list(flagged_primes(lo | 1, sieve_range(lo, hi))))
+def sieve_windows(lo: int, hi: int) -> list[tuple[int, bytearray]]:
+    """The windows of [lo, hi) past the window of 2, which comes first, with
+    its one flag set, exactly when the range holds 2."""
+    walk = list(windows(lo, hi))
+    if lo <= 2 < hi:
+        assert walk[0] == (2, bytearray(b"\x01"))
+        return walk[1:]
+    return walk
 
 
 class TestSieveRange:
@@ -94,7 +101,12 @@ class TestSieveRange:
     )
     def test_odd_only_flags_at_the_edges(self, lo, hi, base, flags):
         assert sieve_range(lo, hi) == flags
-        assert list(windows(lo, hi)) == [(base, flags)]
+        assert sieve_windows(lo, hi) == [(base, flags)]
+
+    def test_each_walk_gets_a_fresh_window_of_two(self):
+        _, flags = next(windows(2, 3))
+        flags[0] = 0
+        assert list(windows(2, 3)) == [(2, b"\x01"), (3, b"")]
 
     def test_rejects_empty_range(self):
         with pytest.raises(InvalidRangeError):
@@ -273,15 +285,16 @@ class TestWindows:
         hi = lo + span
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(gapscan.primes, "MAX_WINDOW", width)
-            walk = list(windows(lo, hi))
+            everything = list(windows(lo, hi))
+            walk = sieve_windows(lo, hi)
         assert walk[0][0] == lo | 1
         for (base, flags), (next_base, _) in zip(walk, walk[1:]):
             assert base + 2 * len(flags) == next_base
         assert walk[-1][0] + 2 * len(walk[-1][1]) == hi | 1
         assert len(walk) == -(-span // width)
         assert all(len(flags) <= (width + 1) // 2 for _, flags in walk)
-        found = [p for w in walk for p in flagged_primes(*w)]
-        assert with_two(lo, hi, found) == trial_division_primes(lo, hi)
+        found = [p for w in everything for p in flagged_primes(*w)]
+        assert found == trial_division_primes(lo, hi)
 
     @pytest.mark.parametrize("width", [1, 7])
     @pytest.mark.parametrize("lo", [0, 1, 2, 3, 10, 11])
@@ -291,18 +304,18 @@ class TestWindows:
         monkeypatch.setattr(gapscan.primes, "MAX_WINDOW", width)
         hi = lo + 60
         starts = range(lo, hi, width)
-        walk = list(windows(lo, hi))
+        walk = sieve_windows(lo, hi)
         assert [base for base, _ in walk] == [s | 1 for s in starts]
         assert [len(flags) for _, flags in walk] == [
             len(range(s | 1, min(s + width, hi), 2)) for s in starts
         ]
-        found = [p for w in walk for p in flagged_primes(*w)]
-        assert with_two(lo, hi, found) == trial_division_primes(lo, hi)
+        found = [p for w in windows(lo, hi) for p in flagged_primes(*w)]
+        assert found == trial_division_primes(lo, hi)
 
     def test_low_ranges_take_the_floor_width(self):
         walk = windows(0, SEGMENT_WIDTH + 5)
         assert [(base, len(flags)) for base, flags in walk] == [
-            (1, SEGMENT_WIDTH // 2), (SEGMENT_WIDTH + 1, 2),
+            (2, 1), (1, SEGMENT_WIDTH // 2), (SEGMENT_WIDTH + 1, 2),
         ]
 
     def test_rejects_empty_range_at_the_call(self):

@@ -23,7 +23,7 @@ from gapscan.errors import (
 )
 import gapscan.primes
 import gapscan.scan
-from gapscan.primes import iter_consecutive_pairs
+from gapscan.primes import SCAN_LIMIT, iter_consecutive_pairs
 from gapscan.scan import (
     DEFAULT_VIOLATION_CAP,
     CheckpointState,
@@ -775,6 +775,14 @@ class TestScanConfigValidation:
     def test_rejects_universe_escape(self):
         with pytest.raises(ValueError):
             ScanConfig(start=2, stop=(1 << 63) + 1).validate()
+
+    def test_stop_is_capped_at_the_scan_limit(self):
+        # Validation only: no scan runs, so no base prime is sieved.
+        assert SCAN_LIMIT == 10**16
+        ScanConfig(start=2, stop=SCAN_LIMIT).validate()
+        for start, stop in [(2, SCAN_LIMIT + 1), (2**63 - 100, 2**63)]:
+            with pytest.raises(ValueError, match=r"exceeds 10\*\*16"):
+                ScanConfig(start=start, stop=stop).validate()
 
     def test_default_workers_follow_affinity(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
