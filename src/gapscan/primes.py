@@ -24,8 +24,12 @@ at any height.
 The base primes that the windows strike with come from the same window
 sieve: one ordered list, grown in place in steps of at most
 `window_width(limit)` numbers, each step struck by the primes the list
-already holds.  A window ending at hi still keeps the pi(isqrt(hi - 1))
-base primes as Python ints.
+already holds.  A step reads its primes out of its flags a block of
+_BLOCK flags at a time, adding each set flag's fixed even offset to the
+block's first odd number, so no int is made for an odd number that is not
+prime.  A window reads only the base primes it strikes with, however far
+past its root the list has grown.  A window ending at hi still keeps the
+pi(isqrt(hi - 1)) base primes as Python ints.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from itertools import chain, compress, islice, repeat
 from math import isqrt
-from operator import mod
+from operator import add, mod
 from typing import Iterator
 from zlib import adler32
 
@@ -78,6 +82,11 @@ _ZEROS = tuple(bytearray(c) for c in range(Z + 1))
 # The longest run of flags whose adler32 low half is 1 plus their count.
 _ADLER_RUN = 65519
 
+# Growth reads a step's primes out of its flags _BLOCK at a time: flag j of
+# a block stands for the block's first odd number plus _OFFSETS[j].
+_BLOCK = 1024
+_OFFSETS = tuple(range(0, 2 * _BLOCK, 2))
+
 
 def _presieve_pattern() -> bytearray:
     """Two periods of flags for the odd numbers 1, 3, 5, ... (index j stands
@@ -109,6 +118,14 @@ def _odd_primes_to(limit: int) -> list[int]:
     step trims any entry past _base_limit, which an interrupted step may
     have left, before it extends the list, so the list stays sorted and
     exact.
+
+    The step's flags are read through one shared iterator, _BLOCK at a
+    time: the block from start = (lo | 1) + 2 * _BLOCK * j holds the primes
+    start + _OFFSETS[i], one for each set flag i.  `compress` takes the
+    next offset before the next flag and stops when `_OFFSETS` ends, so
+    each block reads exactly its own flags, and the last block, cut short
+    where the flags end, reads the rest.  No int is made for an odd number
+    that is not prime.
     """
     global _base_limit
     while _base_limit < limit:
@@ -116,7 +133,11 @@ def _odd_primes_to(limit: int) -> list[int]:
         top = min(limit, _base_limit**2, _base_limit + window_width(limit))
         flags = _sieve(lo, top + 1)
         del _base_primes[bisect_right(_base_primes, _base_limit) :]
-        _base_primes.extend(compress(range(lo | 1, top + 1, 2), flags))
+        selectors = iter(flags)
+        for start in range(lo | 1, top + 1, 2 * _BLOCK):
+            _base_primes.extend(
+                map(add, compress(_OFFSETS, selectors), repeat(start))
+            )
         _base_limit = top
     return _base_primes
 
@@ -210,7 +231,10 @@ def _sieve(lo: int, hi: int) -> bytearray:
         if r < span and not r & 1:  # p has one odd multiple in range
             flags[n - 1 - (r >> 1)] = 0
 
-    for p in islice(odd_primes, bisect_left(odd_primes, base), struck):
+    # A list slice, not islice: islice would step through every stored
+    # prime below base even when the slice is empty, as it is whenever the
+    # range lies above the primes it is struck with.
+    for p in odd_primes[bisect_left(odd_primes, base) : struck]:
         if p < hi:
             flags[(p - base) >> 1] = 1
     if base == 1 and n:

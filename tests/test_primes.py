@@ -36,6 +36,7 @@ from gapscan.scan import scan_chunk
 
 from conftest import (
     flagged_primes,
+    oracle_consecutive_pairs,
     oracle_count_primes_below,
     oracle_primes_below,
     sieved_is_prime,
@@ -393,6 +394,39 @@ class TestBasePrimeCache:
         assert widths[:3] == [169 - 13, 28561 - 169, 128 * 999]
         assert max(widths) == 128 * 999 and sum(widths) == 10**6 - 13
         assert_exact_store()
+
+    def test_window_above_the_store_reads_only_its_base_primes(
+        self, monkeypatch, cold_store
+    ):
+        # A window reads the base primes it strikes with, in its three
+        # bands, and no others: not the rest of a store grown far past its
+        # root, which here holds some 86 times as many primes.
+        sieve_range(10**12, 10**12 + 1)
+        assert len(gapscan.primes._base_primes) == 78_497
+
+        class CountingList(list):
+            read = 0
+
+            def __iter__(self):
+                for p in super().__iter__():
+                    self.read += 1
+                    yield p
+
+        store = CountingList(gapscan.primes._base_primes)
+        monkeypatch.setattr(gapscan.primes, "_base_primes", store)
+        lo, hi = 5 * 10**7, 5 * 10**7 + 2**20
+        flags = sieve_range(lo, hi)
+        assert list(flagged_primes(lo | 1, flags)) == [
+            p for p, _ in oracle_consecutive_pairs(lo, hi)
+        ]
+        assert store.read <= 3 * oracle_count_primes_below(isqrt(hi - 1) + 1) + 16
+
+        # Low windows below the grown store's limit still set their struck
+        # primes back, the second also holding stored primes past its root.
+        assert segment_primes(2, 10**4) == oracle_primes_below(10**4)
+        assert segment_primes(10**5, 2 * 10**5) == [
+            p for p in oracle_primes_below(2 * 10**5) if p >= 10**5
+        ]
 
     @pytest.mark.parametrize("torn", [False, True])
     def test_interrupted_growth_leaves_an_exact_store(
