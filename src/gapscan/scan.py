@@ -22,10 +22,10 @@ import json
 import os
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import isqrt
 from multiprocessing import get_context
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from . import primes
 from .claims import PAIR_CLAIMS, ClaimId, ClaimOutcome, Status, check_pair
@@ -180,14 +180,12 @@ class ScanReport:
         return sum(c.failed for c in self.per_claim.values())
 
 
-def plan_chunks(config: ScanConfig) -> list[tuple[int, int]]:
+def plan_chunks(config: ScanConfig) -> Iterator[tuple[int, int]]:
     """Disjoint ordered chunks covering [start, stop) exactly, each at most
-    chunk_size wide.  A pair belongs to the chunk containing its first
-    element."""
-    return [
-        (lo, min(lo + config.chunk_size, config.stop))
-        for lo in range(config.start, config.stop, config.chunk_size)
-    ]
+    chunk_size wide, yielded lazily.  A pair belongs to the chunk containing
+    its first element."""
+    for lo in range(config.start, config.stop, config.chunk_size):
+        yield lo, min(lo + config.chunk_size, config.stop)
 
 
 def _icbrt(n: int) -> int:
@@ -416,20 +414,17 @@ def merge_reports(a: ScanReport, b: ScanReport) -> ScanReport:
 
 @dataclass
 class CheckpointState:
-    """Resumable scan progress: which plan prefix is done and its merged
-    partial report."""
+    """Resumable scan progress: the merged report of the plan's first chunks."""
 
     config_digest: str
-    completed: list[tuple[int, int]]
-    partial: ScanReport | None
+    partial: ScanReport
 
 
 def save_checkpoint(state: CheckpointState, path: str) -> None:
     document = {
         "version": CHECKPOINT_VERSION,
         "config_digest": state.config_digest,
-        "completed": to_json(state.completed),
-        "partial": None if state.partial is None else state.partial.to_json_dict(),
+        "partial": state.partial.to_json_dict(),
     }
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
@@ -440,10 +435,13 @@ def save_checkpoint(state: CheckpointState, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> CheckpointState:
+    """Read a checkpoint that `save_checkpoint` wrote.  Other keys, such as
+    the chunk list `completed` of older files, are ignored; `resumed_report`
+    checks the state against a scan's config."""
     try:
         with open(path, encoding="utf-8") as fh:
             document = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, RecursionError, ValueError) as exc:
         raise CheckpointCorruptError(f"unreadable checkpoint {path}: {exc}") from exc
     try:
         version = int(document["version"])
@@ -451,29 +449,35 @@ def load_checkpoint(path: str) -> CheckpointState:
             raise CheckpointMismatchError(
                 f"checkpoint version {version}, expected {CHECKPOINT_VERSION}"
             )
-        partial = None
-        if document["partial"] is not None:
-            partial = ScanReport.from_json_dict(document["partial"])
-        state = CheckpointState(
+        return CheckpointState(
             config_digest=str(document["config_digest"]),
-            completed=from_json(list[tuple[int, int]], document["completed"]),
-            partial=partial,
+            partial=ScanReport.from_json_dict(document["partial"]),
         )
     except CheckpointMismatchError:
         raise
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise CheckpointCorruptError(f"malformed checkpoint {path}: {exc}") from exc
-    # The partial report covers exactly the completed chunks, or is absent
-    # when none are completed.
-    done = state.completed
-    covered = (done[0][0], done[-1][1]) if done else None
-    span = None if partial is None else (partial.start, partial.stop)
-    if span != covered:
-        raise CheckpointCorruptError(
-            f"checkpoint {path}: completed chunks cover {covered}, "
-            f"its partial report covers {span}"
+
+
+def resumed_report(state: CheckpointState, config: ScanConfig) -> ScanReport:
+    """The partial report a scan of `config` resumes from.  It must cover
+    [start, b), b a chunk boundary inside the range or stop itself, under
+    the config's violation cap."""
+    if state.config_digest != config.digest():
+        raise CheckpointMismatchError(
+            "checkpoint was written by a different scan configuration"
         )
-    return state
+    partial = state.partial
+    inner = range(config.start + config.chunk_size, config.stop, config.chunk_size)
+    if (
+        (partial.start, partial.violation_cap) != (config.start, config.violation_cap)
+        or partial.stop != config.stop and partial.stop not in inner
+    ):
+        raise CheckpointCorruptError(
+            f"checkpoint report over [{partial.start}, {partial.stop}) with "
+            f"violation cap {partial.violation_cap} is no prefix of this scan"
+        )
+    return partial
 
 
 def _scan_chunk_task(args: tuple[int, int, frozenset[ClaimId], int]) -> ScanReport:
@@ -486,8 +490,10 @@ def run_scan(
     halt_after_chunks: int | None = None,
 ) -> ScanReport:
     """Execute a full scan: plan chunks, fan out to workers, merge in range
-    order, checkpointing the completed prefix at most once per
+    order, checkpointing the merged report at most once per
     CHECKPOINT_INTERVAL_S of wall time, on halt, and after the last chunk.
+    A scan resumes at its checkpoint's partial report's stop.  Chunks go
+    out as a lazy stream, so memory does not grow with their count.
 
     `progress` is called as progress(done, total, chunk) after each merge.
     `halt_after_chunks` stops early after that many newly merged chunks, at
@@ -503,27 +509,22 @@ def run_scan(
     if halt_after_chunks is not None and halt_after_chunks < 1:
         raise ValueError(f"halt_after_chunks must be >= 1, got {halt_after_chunks}")
     config.validate()
-    plan = plan_chunks(config)
     digest = config.digest()
 
-    done = 0
     partial: ScanReport | None = None
     if config.checkpoint_path and os.path.exists(config.checkpoint_path):
-        state = load_checkpoint(config.checkpoint_path)
-        if state.config_digest != digest:
-            raise CheckpointMismatchError(
-                "checkpoint was written by a different scan configuration"
-            )
-        if state.completed != plan[: len(state.completed)]:
-            raise CheckpointMismatchError(
-                "checkpoint chunk list does not match the scan plan"
-            )
-        done = len(state.completed)
-        partial = state.partial
+        partial = resumed_report(load_checkpoint(config.checkpoint_path), config)
+    resume = config.start if partial is None else partial.stop
 
-    remaining = plan[done:]
-    tasks = [(lo, hi, config.claims, config.violation_cap) for lo, hi in remaining]
-    workers = min(config.workers, len(tasks))
+    done = len(range(config.start, resume, config.chunk_size))
+    total = len(range(config.start, config.stop, config.chunk_size))
+    halt_at = total if halt_after_chunks is None else done + halt_after_chunks
+    # resume lies on the plan's chunk grid, so this is the plan's tail.
+    tasks = (
+        (lo, hi, config.claims, config.violation_cap)
+        for lo, hi in plan_chunks(replace(config, start=resume))
+    )
+    workers = min(config.workers, total - done)
     last_save = time.monotonic()
     # Leaving the block terminates the pool, also on halt.
     with (get_context().Pool(workers) if workers > 1 else nullcontext()) as pool:
@@ -531,25 +532,21 @@ def run_scan(
             reports = map(_scan_chunk_task, tasks)
         else:
             batch = min(
-                len(tasks) // (4 * workers),
+                (total - done) // (4 * workers),
                 primes.SEGMENT_WIDTH // config.chunk_size,
             )
             reports = pool.imap(_scan_chunk_task, tasks, max(1, batch))
-        for newly_done, (chunk, report) in enumerate(zip(remaining, reports), 1):
+        for done, report in enumerate(reports, done + 1):
             partial = report if partial is None else merge_reports(partial, report)
-            done += 1
-            halt = halt_after_chunks is not None and newly_done >= halt_after_chunks
             if config.checkpoint_path and (
-                halt
-                or done == len(plan)
+                done in (halt_at, total)
                 or time.monotonic() - last_save >= CHECKPOINT_INTERVAL_S
             ):
-                state = CheckpointState(digest, plan[:done], partial)
-                save_checkpoint(state, config.checkpoint_path)
+                save_checkpoint(CheckpointState(digest, partial), config.checkpoint_path)
                 last_save = time.monotonic()
             if progress is not None:
-                progress(done, len(plan), chunk)
-            if halt:
+                progress(done, total, (report.start, report.stop))
+            if done == halt_at:
                 break
 
     assert partial is not None  # plan is never empty for a validated config

@@ -11,11 +11,16 @@ shortcut must equal, takes its pairs from it, and `make_pair` is the
 validated pair constructor the record tests build their pairs with.  The
 `crafted_pairs` fixture feeds chosen non-genuine pairs to the scan, which
 is how the failure and exit-code paths are reached: genuine consecutive
-primes never fail a claim.
+primes never fail a claim.  `run_capped` runs a snippet in a fresh
+interpreter under a cap on its address space, for the tests that a scan's
+memory stays bounded.
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import chain, compress
 from math import isqrt
@@ -45,6 +50,25 @@ from gapscan.errors import (
 from gapscan.midpoint import PrimePair, compute_record
 from gapscan.primes import is_prime
 from gapscan.scan import ClaimCounter, GapRecord, RatioRecord, ScanReport
+
+
+def run_capped(code: str, limit_mib: int, timeout: float = 120) -> tuple[int, str]:
+    """Run the Python snippet `code` in a fresh interpreter, with this
+    package importable, after capping its address space (RLIMIT_AS, which
+    its forked children inherit) at `limit_mib` MiB.  Returns the exit code
+    and stderr: an allocation past the cap fails with MemoryError, exit 1."""
+    limit = limit_mib << 20
+    script = (
+        "import resource\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n{code}"
+    )
+    src = os.path.dirname(os.path.dirname(gapscan.scan.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=timeout,
+    )
+    return done.returncode, done.stderr
+
 
 # count_odd_multiples enumerates while the span is at most this many times
 # the divisor, and uses the closed form beyond it.

@@ -16,6 +16,24 @@ def invoke(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def write_checkpoint(tmp_path, halt: int | None):
+    """The checkpoint of a scan of [2, 5000) in chunks of 1024, halted after
+    `halt` chunks, or finished when halt is None."""
+    ckpt = tmp_path / "scan.ckpt"
+    run_scan(
+        ScanConfig(start=2, stop=5000, chunk_size=1024, workers=1,
+                   checkpoint_path=str(ckpt)),
+        halt_after_chunks=halt,
+    )
+    return ckpt
+
+
+def resume_args(ckpt) -> tuple[str, ...]:
+    """The CLI call that resumes the scan `write_checkpoint` started."""
+    return ("scan", "--from", "2", "--to", "5000", "--chunk-size", "1024",
+            "--jobs", "1", "--checkpoint", str(ckpt))
+
+
 class TestPairCommand:
     def test_pair_seven(self, capsys):
         code, out, _ = invoke(capsys, "pair", "7")
@@ -176,6 +194,22 @@ class TestScanCommand:
         second.pop("elapsed_ns")
         assert first == second
 
+    @pytest.mark.parametrize("completed", [[], [["2", "1026"]], "junk"])
+    def test_edited_completed_key_is_ignored(self, capsys, tmp_path, completed):
+        ckpt = write_checkpoint(tmp_path, halt=2)
+        document = json.loads(ckpt.read_text())
+        document["completed"] = completed
+        ckpt.write_text(json.dumps(document))
+        code, out, _ = invoke(capsys, *resume_args(ckpt))
+        assert code == 0
+        resumed = json.loads(out)
+        uninterrupted = run_scan(
+            ScanConfig(start=2, stop=5000, chunk_size=1024, workers=1)
+        ).to_json_dict()
+        resumed.pop("elapsed_ns")
+        uninterrupted.pop("elapsed_ns")
+        assert resumed == uninterrupted
+
     def test_invalid_range_is_usage_error(self, capsys):
         code, _, err = invoke(capsys, "scan", "--from", "2", "--to", "0")
         assert code == 2
@@ -240,29 +274,49 @@ class TestExitCodeFidelity:
         assert "internal error" in err
 
     @pytest.mark.parametrize(
-        "field, value",
-        [("completed", []), ("partial", None), ("completed", [["2", "1026"]])],
+        "content", [b"[" * 200_000, b"\xff\xfe{}"], ids=["nested", "not-utf8"]
+    )
+    def test_unreadable_checkpoint_exits_three(self, capsys, tmp_path, content):
+        ckpt = tmp_path / "scan.ckpt"
+        ckpt.write_bytes(content)
+        code, out, err = invoke(
+            capsys, "scan", "--from", "2", "--to", "1000", "--jobs", "1",
+            "--checkpoint", str(ckpt),
+        )
+        assert code == 3
+        assert out == ""
+        assert "internal error: unreadable checkpoint" in err
+
+    @pytest.mark.parametrize(
+        "path, value, halt, message",
+        [
+            (("partial",), None, 2, "malformed checkpoint"),
+            (("partial", "range", 0), "3", 2, "no prefix"),
+            (("partial", "range", 1), "2000", 2, "no prefix"),
+            (("partial", "violation_cap"), "5", 2, "no prefix"),
+            (("partial", "violation_cap"), "5", None, "no prefix"),
+        ],
+        ids=["partial-None", "start-moved", "stop-off-grid", "cap-halted",
+             "cap-finished"],
     )
     def test_partial_disagreeing_with_completed_exits_three(
-        self, capsys, tmp_path, field, value
+        self, capsys, tmp_path, path, value, halt, message
     ):
-        # Two chunks are done: [2, 1026) and [1026, 2050).
-        ckpt = tmp_path / "scan.ckpt"
-        args = ("scan", "--from", "2", "--to", "5000", "--chunk-size", "1024",
-                "--jobs", "1", "--checkpoint", str(ckpt))
-        run_scan(
-            ScanConfig(start=2, stop=5000, chunk_size=1024, workers=1,
-                       checkpoint_path=str(ckpt)),
-            halt_after_chunks=2,
-        )
+        # The partial report must cover the plan's first chunks, here
+        # [2, 2050) after a halt or [2, 5000) when finished, under the
+        # scan's violation cap.
+        ckpt = write_checkpoint(tmp_path, halt)
         document = json.loads(ckpt.read_text())
-        document[field] = value
+        node = document
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
         ckpt.write_text(json.dumps(document))
-        code, out, err = invoke(capsys, *args)
+        code, out, err = invoke(capsys, *resume_args(ckpt))
         assert code == 3
         assert out == ""
         assert "internal error" in err
-        assert "completed chunks cover" in err
+        assert message in err
 
     @pytest.mark.parametrize("flag", ["--checkpoint", "--out"])
     def test_unwritable_file_exits_three(self, capsys, tmp_path, flag):

@@ -4,10 +4,12 @@ import json
 import multiprocessing
 import os
 import re
+import shutil
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -45,6 +47,7 @@ from conftest import (
     oracle_primes_below,
     record_path_outcomes,
     reference_scan,
+    run_capped,
 )
 
 # No prime lies in [90, 96), so a scan of it sees only the crafted pairs.
@@ -63,20 +66,20 @@ def empty_report(lo: int, hi: int) -> ScanReport:
 class TestPlanChunks:
     def test_uneven_tail(self):
         config = ScanConfig(start=0, stop=100, chunk_size=40)
-        assert plan_chunks(config) == [(0, 40), (40, 80), (80, 100)]
+        assert list(plan_chunks(config)) == [(0, 40), (40, 80), (80, 100)]
 
     def test_single_unit(self):
         config = ScanConfig(start=5, stop=6, chunk_size=1 << 24)
-        assert plan_chunks(config) == [(5, 6)]
+        assert list(plan_chunks(config)) == [(5, 6)]
 
     def test_exact_fit(self):
         config = ScanConfig(start=0, stop=1 << 24, chunk_size=1 << 24)
-        assert plan_chunks(config) == [(0, 1 << 24)]
+        assert list(plan_chunks(config)) == [(0, 1 << 24)]
 
     def test_empty_range_plans_nothing(self):
         # validate() rejects this config; plan_chunks does not re-check it.
-        assert plan_chunks(ScanConfig(start=10, stop=10, chunk_size=40)) == []
-        assert plan_chunks(ScanConfig(start=10, stop=5, chunk_size=40)) == []
+        assert list(plan_chunks(ScanConfig(start=10, stop=10, chunk_size=40))) == []
+        assert list(plan_chunks(ScanConfig(start=10, stop=5, chunk_size=40))) == []
 
     @given(
         start=st.integers(min_value=0, max_value=10**6),
@@ -86,7 +89,7 @@ class TestPlanChunks:
     @settings(max_examples=50)
     def test_partition_properties(self, start, width, chunk):
         config = ScanConfig(start=start, stop=start + width, chunk_size=chunk)
-        chunks = plan_chunks(config)
+        chunks = list(plan_chunks(config))
         assert chunks[0][0] == start
         assert chunks[-1][1] == start + width
         for (lo, hi), (lo2, _) in zip(chunks, chunks[1:]):
@@ -462,12 +465,12 @@ def _valid_checkpoint() -> dict:
     return {
         "version": 1,
         "config_digest": "digest",
-        "completed": [["2", "1024"]],
         "partial": partial.to_json_dict(),
     }
 
 
 VALID_CHECKPOINT = _valid_checkpoint()
+GOLDEN_CHECKPOINT = Path(__file__).parent / "golden" / "checkpoint-2-5000-1024.json"
 CHECKPOINT_PATHS = list(_json_paths(VALID_CHECKPOINT))
 
 # Everything Python's json module reads, NaN and Infinity included.
@@ -506,27 +509,46 @@ class TestCheckpoint:
         path = str(tmp_path / "scan.ckpt")
         config = ScanConfig(start=2, stop=5000, chunk_size=1 << 10)
         partial = full_scan(2, 1024)
-        state = CheckpointState(config.digest(), [(2, 1024)], partial)
+        state = CheckpointState(config.digest(), partial)
         save_checkpoint(state, path)
         loaded = load_checkpoint(path)
         assert loaded.config_digest == config.digest()
-        assert loaded.completed == [(2, 1024)]
         assert loaded.partial == partial
 
     def test_on_disk_schema(self, tmp_path):
         path = str(tmp_path / "scan.ckpt")
         config = ScanConfig(start=2, stop=5000, chunk_size=1 << 10,
                             checkpoint_path=path, workers=1)
+        run_scan(config, halt_after_chunks=1)
+        with open(path) as fh:
+            document = json.load(fh)
+        assert document["partial"]["range"] == ["2", "1026"]
         run_scan(config)
         with open(path) as fh:
             document = json.load(fh)
-        assert set(document) == {"version", "config_digest", "completed", "partial"}
+        assert set(document) == {"version", "config_digest", "partial"}
         assert document["version"] == 1
-        assert document["completed"][0] == ["2", "1026"]
-        assert all(
-            isinstance(v, str) for bounds in document["completed"] for v in bounds
-        )
         assert document["partial"]["range"] == ["2", "5000"]
+
+    def test_resumes_a_checkpoint_that_lists_its_chunks(self, tmp_path):
+        # Written by a run_scan that also saved the list of completed
+        # chunks, halted after two of them; the list is ignored.
+        golden = GOLDEN_CHECKPOINT.read_text()
+        assert '"completed": [["2", "1026"], ["1026", "2050"]]' in golden
+        path = tmp_path / "scan.ckpt"
+        shutil.copy(GOLDEN_CHECKPOINT, path)
+        config = ScanConfig(start=2, stop=5000, chunk_size=1024,
+                            checkpoint_path=str(path), workers=1)
+        seen = []
+        resumed = run_scan(config, lambda *args: seen.append(args))
+        assert resumed == run_scan(
+            ScanConfig(start=2, stop=5000, chunk_size=1024, workers=1)
+        )
+        assert seen == [(3, 5, (2050, 3074)), (4, 5, (3074, 4098)),
+                        (5, 5, (4098, 5000))]
+        assert set(json.loads(path.read_text())) == {
+            "version", "config_digest", "partial"
+        }
 
     def test_corrupt_file_detected(self, tmp_path):
         path = tmp_path / "scan.ckpt"
@@ -540,7 +562,7 @@ class TestCheckpoint:
     def test_version_mismatch_detected(self, tmp_path):
         path = tmp_path / "scan.ckpt"
         path.write_text(
-            '{"version": 2, "config_digest": "x", "completed": [], "partial": null}'
+            '{"version": 2, "config_digest": "x", "partial": null}'
         )
         with pytest.raises(CheckpointMismatchError):
             load_checkpoint(str(path))
@@ -597,7 +619,7 @@ class TestCheckpoint:
         self, tmp_path, monkeypatch, step, halt, saved_at
     ):
         # A stubbed clock advances `step` seconds per scanned chunk; every
-        # save records how many of the 64 chunks it covers.
+        # save records how many of the 64 chunks its partial report covers.
         now = 0.0
         scan_chunk_ = gapscan.scan.scan_chunk
         save_checkpoint_ = gapscan.scan.save_checkpoint
@@ -609,7 +631,7 @@ class TestCheckpoint:
             return scan_chunk_(*args)
 
         def counted_save(state, path):
-            saved.append(len(state.completed))
+            saved.append((state.partial.stop - 2) // 1024)
             save_checkpoint_(state, path)
 
         clock = SimpleNamespace(
@@ -640,9 +662,10 @@ class TestCheckpoint:
         monkeypatch.setattr(os, "fsync", logged_fsync)
         monkeypatch.setattr(os, "replace", logged_replace)
         path = str(tmp_path / "scan.ckpt")
-        save_checkpoint(CheckpointState("x", [(2, 1024)], full_scan(2, 1024)), path)
+        partial = full_scan(2, 1024)
+        save_checkpoint(CheckpointState("x", partial), path)
         assert calls == ["fsync", "replace"]
-        assert load_checkpoint(path).completed == [(2, 1024)]
+        assert load_checkpoint(path).partial == partial
 
     def test_workers_do_not_change_digest(self):
         base = ScanConfig(start=2, stop=5000, workers=1)
@@ -657,7 +680,7 @@ class TestPool:
         path = str(tmp_path / "scan.ckpt")
         config = ScanConfig(start=2, stop=2 * 10**5, chunk_size=1 << 12,
                             checkpoint_path=path, workers=2)
-        plan = plan_chunks(config)
+        plan = list(plan_chunks(config))
         seen = []
 
         def progress(done, total, chunk):
@@ -666,7 +689,7 @@ class TestPool:
         partial = run_scan(config, progress, halt_after_chunks=5)
         assert multiprocessing.active_children() == []
         state = load_checkpoint(path)
-        assert state.completed == plan[:5]
+        assert state.partial.stop == plan[4][1]
         assert state.partial == partial
         prefix = ScanConfig(start=2, stop=plan[4][1], chunk_size=1 << 12, workers=1)
         assert partial == run_scan(prefix)
@@ -680,6 +703,32 @@ class TestPool:
         assert seen == [
             (done, len(plan), chunk) for done, chunk in enumerate(plan, 1)
         ]
+
+    # [2, 10**15) in chunks of 2**10 is about 10**12 chunks.  A plan held as
+    # a list takes some 200 bytes a chunk, so a scan that listed its plan
+    # would fail under the 1 GiB cap before it scanned one chunk.  Never run
+    # these scans without the cap.
+    def test_huge_plan_runs_in_bounded_memory(self):
+        code, err = run_capped(
+            "from gapscan.scan import ScanConfig, run_scan\n"
+            "config = ScanConfig(2, 10**15, chunk_size=2**10, workers=1)\n"
+            "report = run_scan(config, halt_after_chunks=1)\n"
+            "assert (report.start, report.stop) == (2, 1026), report\n",
+            limit_mib=1024,
+        )
+        assert code == 0, err
+
+    def test_huge_plan_on_a_pool_runs_in_bounded_memory(self):
+        code, err = run_capped(
+            "import multiprocessing\n"
+            "from gapscan.scan import ScanConfig, run_scan\n"
+            "config = ScanConfig(2, 10**15, chunk_size=2**10, workers=2)\n"
+            "report = run_scan(config, halt_after_chunks=3)\n"
+            "assert (report.start, report.stop) == (2, 3074), report\n"
+            "assert multiprocessing.active_children() == []\n",
+            limit_mib=1024,
+        )
+        assert code == 0, err
 
     @staticmethod
     def batch_sizes(monkeypatch, config: ScanConfig) -> list[tuple[int, int]]:
