@@ -46,8 +46,8 @@ def to_json(value: Any) -> Any:
 def from_json(tp: Any, data: Any) -> Any:
     """Rebuild a value of type `tp` from its `to_json` form.
 
-    `tp` is int, an Enum, `X | None`, `list[X]`, a fixed-length tuple such
-    as `tuple[int, int]`, `dict[K, V]`, or a dataclass annotated with these.
+    `tp` is int, an Enum, `X | None`, `list[X]`, `dict[K, V]`, or a
+    dataclass annotated with these.
     A dataclass field missing from `data` keeps its default.  Malformed data
     raises AttributeError, KeyError, OverflowError, TypeError or ValueError.
     """
@@ -63,8 +63,6 @@ def from_json(tp: Any, data: Any) -> Any:
         return None if data is None else from_json(args[0], data)
     if origin is list:
         return [from_json(args[0], v) for v in data]
-    if origin is tuple:
-        return tuple(from_json(a, v) for a, v in zip(args, data, strict=True))
     if origin is dict:
         return {from_json(args[0], k): from_json(args[1], v) for k, v in data.items()}
     return tp(data)  # int or an Enum

@@ -13,6 +13,8 @@ count, scheduling, or chunking (chunk merges happen in range order).
 
 Reports are value objects that merge associatively, so a scan can be
 partitioned, checkpointed, and resumed without changing its result.
+`merge_reports` adds both reports to one `ChunkTally`, so each rule that
+combines results is written once, for pairs and reports alike.
 """
 
 from __future__ import annotations
@@ -59,6 +61,11 @@ def default_workers() -> int:
     return os.cpu_count() or 1
 
 
+def _sha256(value: object) -> str:
+    """Hex SHA-256 of the JSON of `value` with its keys sorted."""
+    return hashlib.sha256(json.dumps(value, sort_keys=True).encode()).hexdigest()
+
+
 @dataclass(frozen=True)
 class ScanConfig:
     """Parameters of one scan over [start, stop)."""
@@ -91,17 +98,13 @@ class ScanConfig:
 
     def digest(self) -> str:
         """Hex digest over the fields that determine the report."""
-        payload = json.dumps(
-            {
-                "start": self.start,
-                "stop": self.stop,
-                "chunk_size": self.chunk_size,
-                "claims": sorted(c.value for c in self.claims),
-                "violation_cap": self.violation_cap,
-            },
-            sort_keys=True,
-        )
-        return hashlib.sha256(payload.encode()).hexdigest()
+        return _sha256({
+            "start": self.start,
+            "stop": self.stop,
+            "chunk_size": self.chunk_size,
+            "claims": sorted(c.value for c in self.claims),
+            "violation_cap": self.violation_cap,
+        })
 
 
 @dataclass(frozen=True)
@@ -111,17 +114,9 @@ class ClaimCounter:
     vacuous: int = 0
     failed: int = 0
 
-    def __add__(self, other: "ClaimCounter") -> "ClaimCounter":
-        return ClaimCounter(
-            self.checked + other.checked,
-            self.passed + other.passed,
-            self.vacuous + other.vacuous,
-            self.failed + other.failed,
-        )
-
 
 # The column of a ChunkTally row that an outcome's status counts in.
-_COLUMN = {Status.PASS: 0, Status.VACUOUS_PASS: 1, Status.FAIL: 2}
+_COLUMN = {Status.PASS: 1, Status.VACUOUS_PASS: 2, Status.FAIL: 3}
 
 
 @dataclass(frozen=True)
@@ -201,53 +196,84 @@ def _icbrt(n: int) -> int:
 
 
 class ChunkTally:
-    """What the pairs of one chunk add up to.  `pairs` counts every pair the
-    chunk owns; the few that `scan_chunk`'s lemma cannot settle go through
-    `evaluate`, and `report` settles the rest.  `claims` holds the enabled
-    claims in PAIR_CLAIMS order, and `rows` [passed, vacuous, failed] for
-    each."""
+    """What a range's `pairs` add up to, pair by pair or report by report:
+    `evaluate` settles a pair that `scan_chunk`'s lemma cannot, `add` a
+    later range's report, and `report` the pairs not yet `settled`, by the
+    lemma.  `rows[i]` is [checked, passed, vacuous, failed] for `claims[i]`,
+    the enabled claims in PAIR_CLAIMS order."""
 
     def __init__(self, claims: Iterable[ClaimId], violation_cap: int) -> None:
         enabled = frozenset(claims)
         self.claims = tuple(c for c in PAIR_CLAIMS if c in enabled)
+        self.rows = [[0, 0, 0, 0] for _ in self.claims]
         self.violation_cap = violation_cap
         self.pairs = 0
-        self.evaluated = 0
-        self.rows = [[0, 0, 0] for _ in self.claims]
+        self.settled = 0
         self.violations: list[ClaimOutcome] = []
         self.histogram: dict[int, int] = {}
         self.gap_records: list[GapRecord] = []
         self.best_gap = 0
         self.best: RatioRecord | None = None
 
-    def evaluate(self, p: int, q: int) -> None:
-        """Run the pair (p, q) through `check_pair` and update every counter
-        and record; an IDENTITIES failure aborts the scan."""
-        self.evaluated += 1
-        g = q - p
-        if g > self.best_gap:
-            self.best_gap = g
-            self.gap_records.append(GapRecord(p=p, g=g))
-        ratio = RatioRecord(g_cubed=g * g * g, p_squared=p * p, p=p, g=g)
+    def _gaps(self, records: list[GapRecord]) -> None:
+        """Keep each record whose gap exceeds every gap before it."""
+        for record in records:
+            if record.g > self.best_gap:
+                self.best_gap = record.g
+                self.gap_records.append(record)
+
+    def _ratio(self, ratio: RatioRecord) -> None:
+        """Keep the first ratio that no later one beats."""
         if self.best is None or ratio.beats(self.best):
             self.best = ratio
+
+    def _keep(self, violations: list[ClaimOutcome]) -> None:
+        """Keep violations, in p order, up to the cap."""
+        self.violations += violations[: self.violation_cap - len(self.violations)]
+
+    def _count(self, c_lo: int, n: int) -> None:
+        """Add n pairs to the histogram's c_lo bin."""
+        self.histogram[c_lo] = self.histogram.get(c_lo, 0) + n
+
+    def evaluate(self, p: int, q: int) -> None:
+        """Run the pair (p, q) through `check_pair` and settle it; an
+        IDENTITIES failure aborts the scan."""
+        self.settled += 1
+        g = q - p
+        self._gaps([GapRecord(p, g)])
+        self._ratio(RatioRecord(g_cubed=g * g * g, p_squared=p * p, p=p, g=g))
         record, outcomes = check_pair(p, q, self.claims)
         if record is not None:
-            self.histogram[record.c_lo] = self.histogram.get(record.c_lo, 0) + 1
-        # check_pair returns the enabled checks in PAIR_CLAIMS order, and the
-        # pair at p = 2 gets THEOREM_CUBE_BOUND alone, the last of them, so
-        # the outcomes line up with the last len(outcomes) rows.
-        rows = self.rows[len(self.rows) - len(outcomes):]
-        for row, outcome in zip(rows, outcomes):
+            self._count(record.c_lo, 1)
+        for outcome in outcomes:
             if outcome.status is Status.FAIL:
                 if outcome.claim is ClaimId.IDENTITIES:
                     raise IdentityCheckError(
                         f"identity failed at pair ({p}, {q}): "
                         f"lhs={outcome.lhs} rhs={outcome.rhs}"
                     )
-                if len(self.violations) < self.violation_cap:
-                    self.violations.append(outcome)
+                self._keep([outcome])
+            row = self.rows[self.claims.index(outcome.claim)]
+            row[0] += 1
             row[_COLUMN[outcome.status]] += 1
+
+    def add(self, report: ScanReport) -> None:
+        """Take in the report of a range after every pair so far; each of
+        its claims must be enabled here."""
+        self.pairs += report.pairs_checked
+        self.settled += report.pairs_checked
+        self._gaps(report.gap_records)
+        if report.max_ratio is not None:
+            self._ratio(report.max_ratio)
+        self._keep(report.violations)
+        for c_lo, n in report.c_histogram.items():
+            self._count(c_lo, n)
+        for claim, counter in report.per_claim.items():
+            row = self.rows[self.claims.index(claim)]
+            row[0] += counter.checked
+            row[1] += counter.passed
+            row[2] += counter.vacuous
+            row[3] += counter.failed
 
     def threshold(self, p: int) -> int:
         """The t of `scan_chunk`'s lemma for a search starting at the prime
@@ -258,20 +284,20 @@ class ChunkTally:
         return min(self.best_gap, isqrt(8 * p - 1), bar)
 
     def report(self, lo: int, hi: int, elapsed_ns: int) -> ScanReport:
-        """The report of [lo, hi): each pair not evaluated adds what
+        """The report of [lo, hi): each pair not yet settled adds what
         `scan_chunk`'s lemma proves of it."""
-        discharged = self.pairs - self.evaluated
+        discharged = self.pairs - self.settled
         histogram = self.histogram
         if discharged:
             histogram = {**histogram, 0: histogram.get(0, 0) + discharged}
         per_claim = {}
-        for claim, (passed, vacuous, failed) in zip(self.claims, self.rows):
+        for claim, (checked, passed, vacuous, failed) in zip(self.claims, self.rows):
             if claim is ClaimId.COR_PRODUCT:
                 vacuous += discharged
             else:
                 passed += discharged
             per_claim[claim] = ClaimCounter(
-                passed + vacuous + failed, passed, vacuous, failed
+                checked + discharged, passed, vacuous, failed
             )
         return ScanReport(
             start=lo,
@@ -361,11 +387,11 @@ def scan_chunk(
 
 
 def merge_reports(a: ScanReport, b: ScanReport) -> ScanReport:
-    """Combine two reports over adjacent or disjoint ranges (a before b).
+    """Combine two reports over adjacent or disjoint ranges (a before b) by
+    adding both, in order, to one `ChunkTally`, so every rule that joins
+    two ranges is the one that joins two pairs.
 
-    Associative; the zero-width report is the identity.  Violations stay in
-    increasing-p order and are re-capped; gap records are re-filtered so the
-    strictly-increasing invariant holds across the boundary.
+    Associative; the zero-width report is the identity.
     """
     if a.stop > b.start:
         raise OverlappingRangesError(
@@ -373,43 +399,10 @@ def merge_reports(a: ScanReport, b: ScanReport) -> ScanReport:
         )
     if a.violation_cap != b.violation_cap:
         raise ValueError("cannot merge reports with different violation caps")
-
-    per_claim = dict(a.per_claim)
-    for claim, counter in b.per_claim.items():
-        per_claim[claim] = per_claim.get(claim, ClaimCounter()) + counter
-
-    violations = (a.violations + b.violations)[: a.violation_cap]
-
-    if a.max_ratio is None:
-        max_ratio = b.max_ratio
-    elif b.max_ratio is None or not b.max_ratio.beats(a.max_ratio):
-        max_ratio = a.max_ratio
-    else:
-        max_ratio = b.max_ratio
-
-    gap_records = list(a.gap_records)
-    largest = gap_records[-1].g if gap_records else 0
-    for record in b.gap_records:
-        if record.g > largest:
-            gap_records.append(record)
-            largest = record.g
-
-    c_histogram = dict(a.c_histogram)
-    for key, count in b.c_histogram.items():
-        c_histogram[key] = c_histogram.get(key, 0) + count
-
-    return ScanReport(
-        start=a.start,
-        stop=b.stop,
-        pairs_checked=a.pairs_checked + b.pairs_checked,
-        per_claim=per_claim,
-        violations=violations,
-        max_ratio=max_ratio,
-        gap_records=gap_records,
-        c_histogram=c_histogram,
-        violation_cap=a.violation_cap,
-        elapsed_ns=a.elapsed_ns + b.elapsed_ns,
-    )
+    tally = ChunkTally({**a.per_claim, **b.per_claim}, a.violation_cap)
+    tally.add(a)
+    tally.add(b)
+    return tally.report(a.start, b.stop, a.elapsed_ns + b.elapsed_ns)
 
 
 @dataclass
@@ -421,10 +414,12 @@ class CheckpointState:
 
 
 def save_checkpoint(state: CheckpointState, path: str) -> None:
+    partial = state.partial.to_json_dict()
     document = {
         "version": CHECKPOINT_VERSION,
         "config_digest": state.config_digest,
-        "partial": state.partial.to_json_dict(),
+        "partial": partial,
+        "partial_sha256": _sha256(partial),
     }
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
@@ -435,9 +430,11 @@ def save_checkpoint(state: CheckpointState, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> CheckpointState:
-    """Read a checkpoint that `save_checkpoint` wrote.  Other keys, such as
-    the chunk list `completed` of older files, are ignored; `resumed_report`
-    checks the state against a scan's config."""
+    """Read a checkpoint that `save_checkpoint` wrote.  A partial report
+    that no longer matches its stored hash is corrupt; files without the
+    hash still load.  Other keys, such as the chunk list `completed` of
+    older files, are ignored; `resumed_report` checks the state against a
+    scan's config."""
     try:
         with open(path, encoding="utf-8") as fh:
             document = json.load(fh)
@@ -449,10 +446,13 @@ def load_checkpoint(path: str) -> CheckpointState:
             raise CheckpointMismatchError(
                 f"checkpoint version {version}, expected {CHECKPOINT_VERSION}"
             )
-        return CheckpointState(
-            config_digest=str(document["config_digest"]),
-            partial=ScanReport.from_json_dict(document["partial"]),
-        )
+        partial = ScanReport.from_json_dict(document["partial"])
+        digest = _sha256(document["partial"])
+        if document.get("partial_sha256", digest) != digest:
+            raise CheckpointCorruptError(
+                f"checkpoint {path}: partial report does not match its SHA-256"
+            )
+        return CheckpointState(str(document["config_digest"]), partial)
     except CheckpointMismatchError:
         raise
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:

@@ -330,9 +330,10 @@ def crafted_pairs(monkeypatch):
     the real failure branches run and record real lhs/rhs values.  Each
     call to `feed` replaces the pairs fed before.  The patch swaps
     `gapscan.scan.ChunkTally`, the tally scan_chunk makes once per call,
-    for a subclass that counts and evaluates the fed pairs as it is made;
-    it is seen by scans in this process, and pool workers only see it when
-    they are forked.  A pair with q == p has no gap and is refused.
+    for a subclass that counts and evaluates the fed pairs as scan_chunk
+    makes it; the tally merge_reports folds two reports into starts empty.
+    The patch is seen by scans in this process, and pool workers only see
+    it when they are forked.  A pair with q == p has no gap and is refused.
     """
     # The class in place when the test starts, so that a later feed does
     # not subclass the tally an earlier feed swapped in.
@@ -345,6 +346,8 @@ def crafted_pairs(monkeypatch):
         class FedTally(tally):
             def __init__(self, *args, **kwargs) -> None:
                 super().__init__(*args, **kwargs)
+                if sys._getframe(1).f_code.co_name != "scan_chunk":
+                    return
                 self.pairs += len(pairs)
                 for p, q in pairs:
                     self.evaluate(p, q)

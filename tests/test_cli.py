@@ -304,9 +304,11 @@ class TestExitCodeFidelity:
     ):
         # The partial report must cover the plan's first chunks, here
         # [2, 2050) after a halt or [2, 5000) when finished, under the
-        # scan's violation cap.
+        # scan's violation cap.  Without its hash, as in files written
+        # before the hash was stored, an edit reaches that check.
         ckpt = write_checkpoint(tmp_path, halt)
         document = json.loads(ckpt.read_text())
+        del document["partial_sha256"]
         node = document
         for key in path[:-1]:
             node = node[key]
@@ -317,6 +319,28 @@ class TestExitCodeFidelity:
         assert out == ""
         assert "internal error" in err
         assert message in err
+
+    @pytest.mark.parametrize(
+        "key, value, halt",
+        [
+            # Another chunk boundary: resumed, [2050, 3074) would be skipped.
+            ("range", ["2", "3074"], 2),
+            ("pairs_checked", "1", None),
+        ],
+        ids=["stop-moved-on-grid", "count-edited"],
+    )
+    def test_edited_partial_report_exits_three(
+        self, capsys, tmp_path, key, value, halt
+    ):
+        ckpt = write_checkpoint(tmp_path, halt)
+        document = json.loads(ckpt.read_text())
+        document["partial"][key] = value
+        ckpt.write_text(json.dumps(document))
+        code, out, err = invoke(capsys, *resume_args(ckpt))
+        assert code == 3
+        assert out == ""
+        assert "internal error" in err
+        assert "does not match its SHA-256" in err
 
     @pytest.mark.parametrize("flag", ["--checkpoint", "--out"])
     def test_unwritable_file_exits_three(self, capsys, tmp_path, flag):

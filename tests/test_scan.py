@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import multiprocessing
 import os
@@ -25,12 +26,13 @@ from gapscan.errors import (
 )
 import gapscan.primes
 import gapscan.scan
-from gapscan.primes import SCAN_LIMIT, iter_consecutive_pairs
+from gapscan.primes import SCAN_LIMIT, is_prime, iter_consecutive_pairs
 from gapscan.scan import (
     DEFAULT_VIOLATION_CAP,
     CheckpointState,
     ChunkTally,
     ClaimCounter,
+    GapRecord,
     ScanConfig,
     ScanReport,
     load_checkpoint,
@@ -264,6 +266,23 @@ class TestReferenceEquality:
             assert full_scan(lo, lo + width) == expected
 
 
+class TestKnownAnswerAtHeight:
+    def test_maximal_gap_of_1132(self):
+        # The maximal gap of 1,132 follows this prime (Nyman, 1999; OEIS
+        # A002386 and A005250).
+        p, g = 1_693_182_318_746_371, 1132
+        lo, hi = p - 1000, p + 2000
+        single = scan_chunk(lo, hi)
+        # Chunk edges at p + 24 and p + 1048 lie inside the gap, so the
+        # pair crossing a window's end is evaluated at height.
+        chunked = run_scan(ScanConfig(lo, hi, chunk_size=1024, workers=1))
+        assert single.gap_records[-1] == GapRecord(p, g)
+        assert chunked.gap_records[-1] == GapRecord(p, g)
+        assert chunked == single
+        assert is_prime(p) and is_prime(p + g)
+        assert not any(map(is_prime, range(p + 1, p + g)))
+
+
 class TestInjection:
     """Failure paths, reached by feeding crafted non-genuine pairs."""
 
@@ -395,6 +414,43 @@ class TestMergeReports:
             (2, 1), (3, 2), (7, 4), (23, 6), (89, 8), (113, 14),
         ]
 
+    def test_reports_with_different_claims_merge_to_their_union(self):
+        a = full_scan(2, 5000, claims={ClaimId.LEMMA_SQRT})
+        b = full_scan(
+            5000, 10**4, claims={ClaimId.THEOREM_CUBE_BOUND, ClaimId.COR_PRODUCT}
+        )
+        merged = merge_reports(a, b)
+        assert set(merged.per_claim) == {
+            ClaimId.LEMMA_SQRT, ClaimId.THEOREM_CUBE_BOUND, ClaimId.COR_PRODUCT
+        }
+        for side in (a, b):
+            for claim, counter in side.per_claim.items():
+                assert merged.per_claim[claim] == counter, claim
+        assert merged.pairs_checked == a.pairs_checked + b.pairs_checked
+        assert merged.gap_records == full_scan(2, 10**4).gap_records
+        assert merged.max_ratio == full_scan(2, 10**4).max_ratio
+
+    def test_violations_past_the_cap_keep_the_first_in_p_order(self, crafted_pairs):
+        # Every fed pair fails several claims; [90, 96) and [114, 127) hold
+        # no prime, so each report sees its fed pairs alone.
+        cap = 7
+        crafted_pairs((3, 9), (5, 15))
+        a = full_scan(90, 96, violation_cap=cap)
+        crafted_pairs((7, 21), (11, 33))
+        b = full_scan(114, 127, violation_cap=cap)
+        assert len(a.violations) < cap < len(a.violations) + len(b.violations)
+        merged = merge_reports(a, b)
+        assert merged.violations == (a.violations + b.violations)[:cap]
+        assert [v.pair_p for v in merged.violations] == sorted(
+            v.pair_p for v in merged.violations
+        )
+        assert {v.pair_p for v in merged.violations} == {3, 5, 7}
+        for claim, counter in merged.per_claim.items():
+            assert counter.failed == (
+                a.per_claim[claim].failed + b.per_claim[claim].failed
+            )
+        assert merged.pairs_checked == 4
+
     def test_rejects_overlap(self):
         with pytest.raises(OverlappingRangesError):
             merge_reports(full_scan(2, 60), full_scan(50, 100))
@@ -505,6 +561,22 @@ class TestCheckpoint:
         finally:
             path.unlink()
 
+    @given(value=json_values)
+    @settings(
+        max_examples=50,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_any_other_stored_hash_is_rejected(self, tmp_path, value):
+        path = tmp_path / "scan.ckpt"
+        save_checkpoint(CheckpointState("x", full_scan(2, 1024)), str(path))
+        document = json.loads(path.read_text())
+        assume(value != document["partial_sha256"])
+        document["partial_sha256"] = value
+        path.write_text(json.dumps(document))
+        with pytest.raises(CheckpointCorruptError, match="SHA-256"):
+            load_checkpoint(str(path))
+
     def test_save_load_round_trip(self, tmp_path):
         path = str(tmp_path / "scan.ckpt")
         config = ScanConfig(start=2, stop=5000, chunk_size=1 << 10)
@@ -526,8 +598,13 @@ class TestCheckpoint:
         run_scan(config)
         with open(path) as fh:
             document = json.load(fh)
-        assert set(document) == {"version", "config_digest", "partial"}
+        assert set(document) == {
+            "version", "config_digest", "partial", "partial_sha256"
+        }
         assert document["version"] == 1
+        assert document["partial_sha256"] == hashlib.sha256(
+            json.dumps(document["partial"], sort_keys=True).encode()
+        ).hexdigest()
         assert document["partial"]["range"] == ["2", "5000"]
 
     def test_resumes_a_checkpoint_that_lists_its_chunks(self, tmp_path):
@@ -547,7 +624,7 @@ class TestCheckpoint:
         assert seen == [(3, 5, (2050, 3074)), (4, 5, (3074, 4098)),
                         (5, 5, (4098, 5000))]
         assert set(json.loads(path.read_text())) == {
-            "version", "config_digest", "partial"
+            "version", "config_digest", "partial", "partial_sha256"
         }
 
     def test_corrupt_file_detected(self, tmp_path):
