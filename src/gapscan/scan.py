@@ -183,18 +183,6 @@ def plan_chunks(config: ScanConfig) -> Iterator[tuple[int, int]]:
         yield lo, min(lo + config.chunk_size, config.stop)
 
 
-def _icbrt(n: int) -> int:
-    """Floor cube root, exact for arbitrarily large n."""
-    if n <= 0:
-        return 0
-    x = int(round(n ** (1.0 / 3.0)))
-    while x > 0 and x * x * x > n:
-        x -= 1
-    while (x + 1) ** 3 <= n:
-        x += 1
-    return x
-
-
 class ChunkTally:
     """What a range's `pairs` add up to, pair by pair or report by report:
     `evaluate` settles a pair that `scan_chunk`'s lemma cannot, `add` a
@@ -277,11 +265,11 @@ class ChunkTally:
 
     def threshold(self, p: int) -> int:
         """The t of `scan_chunk`'s lemma for a search starting at the prime
-        p: 0 while nothing is evaluated."""
-        if self.best is None:
+        p: min(best gap, isqrt(8p - 1)) once the last gap record lies
+        below p, else 0, so every pair is evaluated."""
+        if not self.gap_records or self.gap_records[-1].p >= p:
             return 0
-        bar = _icbrt(self.best.g_cubed * p * p // self.best.p_squared)
-        return min(self.best_gap, isqrt(8 * p - 1), bar)
+        return min(self.best_gap, isqrt(8 * p - 1))
 
     def report(self, lo: int, hi: int, elapsed_ns: int) -> ScanReport:
         """The report of [lo, hi): each pair not yet settled adds what
@@ -327,13 +315,15 @@ def scan_chunk(
     Only a few pairs are evaluated, by `ChunkTally.evaluate` through
     `check_pair`, which builds the pair's record: the pair at p = 2, the
     pair crossing each sieve window's end (the last one takes its successor
-    from `next_prime_above`), and every pair whose gap g exceeds t =
-    min(best gap so far, isqrt(8P - 1), icbrt(bg3 * P**2 // bp2)), where P
-    is the prime the search starts from and bg3 / bp2 is the g_cubed /
-    p_squared of the best `RatioRecord` so far by `RatioRecord.beats`.
-    Each term only grows with P and with the state, so a pair with
-    p >= P > 2 and g <= t neither sets a gap record, nor beats the best
-    ratio (g**3 * bp2 <= bg3 * p**2), and has g**2 < 8p.
+    from `next_prime_above`), and every pair whose gap g exceeds
+    `ChunkTally.threshold`'s t, for P the prime the search starts from and
+    (p_r, g_r) the last gap record so far: t = min(g_r, isqrt(8P - 1)) if
+    p_r < P, else 0.  Take a pair with p >= P > p_r and g <= t.  It sets no
+    gap record, as g <= g_r, and g**2 <= 8P - 1 < 8p.  Nor does it beat the
+    best ratio R so far (`RatioRecord.beats` is strict): g**3 / p**2 <=
+    g_r**3 / p**2 < g_r**3 / p_r**2 <= R, as the record pair itself went
+    through `ChunkTally._ratio`.  Genuine pairs are evaluated in p order,
+    so p_r >= P only before the first gap record, where t = 0 as well.
 
     2 has no sieve flag; `primes.windows` yields it in a one-flag window of
     its own, so it opens the chunk's first pair, (2, 3), which is evaluated

@@ -25,7 +25,7 @@ from gapscan.claims import (
 from gapscan.midpoint import MidpointRecord, PrimePair, compute_record
 from gapscan.primes import iter_consecutive_pairs, next_prime_above
 
-from conftest import make_pair, trial_division_primes
+from conftest import make_pair, run_capped, trial_division_primes
 
 
 def record_at(p: int, q: int) -> MidpointRecord:
@@ -302,6 +302,22 @@ class TestCubeInterval:
     def test_rejects_universe_escape(self):
         with pytest.raises(OverflowError):
             check_cube_interval(2**21)
+
+    def test_refuses_intervals_past_the_scan_limit_before_sieving(self):
+        # Near (2 * 10**6)**3 the base primes alone outgrow the 1 GiB cap;
+        # 215_443 is the least n with (n + 1)**3 past 10**16.
+        code, err = run_capped(
+            "from gapscan.claims import check_cube_interval\n"
+            "for n in (2_000_000, 215_443):\n"
+            "    try:\n"
+            "        check_cube_interval(n)\n"
+            "    except ValueError as exc:\n"
+            "        assert 'exceeds 10**16' in str(exc), exc\n"
+            "    else:\n"
+            "        raise AssertionError(f'n = {n} was not refused')\n",
+            limit_mib=1024,
+        )
+        assert code == 0, err
 
     def test_theorem_prefix_implies_occupancy(self):
         # If the cubed gap bound holds for every pair below (n+1)**3, some

@@ -3,9 +3,12 @@ from __future__ import annotations
 import csv
 import io
 import json
+from dataclasses import replace
 
 import pytest
 
+import gapscan.cli
+from gapscan.claims import ClaimId, Status
 from gapscan.cli import RECORD_COLUMNS, run
 from gapscan.scan import ScanConfig, ScanReport, run_scan
 
@@ -223,6 +226,26 @@ class TestScanCommand:
         assert out == ""
         assert "error: --jobs must be >= 0" in err
 
+    def test_empty_names_in_claim_list_are_skipped(self, capsys):
+        argv = ("scan", "--from", "2", "--to", "1000", "--jobs", "1", "--claims")
+        reports = []
+        for claims in ("LEMMA_SQRT,", "LEMMA_SQRT"):
+            code, out, _ = invoke(capsys, *argv, claims)
+            assert code == 0
+            document = json.loads(out)
+            document.pop("elapsed_ns")
+            reports.append(document)
+        assert reports[0] == reports[1]
+        assert set(reports[0]["per_claim"]) == {"LEMMA_SQRT"}
+
+    def test_empty_claim_list_is_usage_error(self, capsys):
+        code, out, err = invoke(
+            capsys, "scan", "--from", "2", "--to", "100", "--claims", ","
+        )
+        assert code == 2
+        assert out == ""
+        assert "claim list is empty" in err
+
     def test_unknown_claim_is_usage_error(self, capsys):
         code, _, err = invoke(
             capsys, "scan", "--from", "2", "--to", "100", "--claims", "BOGUS"
@@ -262,6 +285,28 @@ class TestExitCodeFidelity:
         assert code == 3
         assert "internal error" in err
         assert "lhs=-3 rhs=0" in err
+
+    def test_identity_failure_in_pair_exits_three_with_its_document(
+        self, capsys, monkeypatch
+    ):
+        # No genuine pair fails IDENTITIES, so check_pair is made to.
+        real = gapscan.cli.check_pair
+
+        def broken(p, q):
+            record, outcomes = real(p, q)
+            assert outcomes[0].claim is ClaimId.IDENTITIES
+            outcomes[0] = replace(outcomes[0], status=Status.FAIL, lhs=1, rhs=0)
+            return record, outcomes
+
+        monkeypatch.setattr(gapscan.cli, "check_pair", broken)
+        code, out, _ = invoke(capsys, "pair", "113")
+        assert code == 3
+        document = json.loads(out)
+        assert document["pair"]["p"] == "113"
+        assert document["claims"][0] == {
+            "claim": "IDENTITIES", "pair_p": "113", "status": "FAIL",
+            "lhs": "1", "rhs": "0",
+        }
 
     def test_corrupt_checkpoint_exits_three(self, capsys, tmp_path):
         ckpt = tmp_path / "scan.ckpt"

@@ -244,8 +244,8 @@ class TestReferenceEquality:
     )
     # An odd best gap, so the next gap record is exactly one more.
     @example(fed=[(2, 9)], lo=2, width=3000)
-    # The ratio bar is the least threshold at 7, and (7, 11) beats the fed
-    # ratio 64/81 with a gap of exactly one over the bar.
+    # The fed gap record (9, 4) lies past the search's start at 7, so the
+    # threshold stays 0: (7, 11) only ties its gap but beats its ratio 64/81.
     @example(fed=[(9, 13)], lo=7, width=5)
     # Two pairs with the same g**3 / p**2: the first one stays.
     @example(fed=[(3, 5), (81, 99)], lo=90, width=6)
@@ -454,6 +454,12 @@ class TestMergeReports:
     def test_rejects_overlap(self):
         with pytest.raises(OverlappingRangesError):
             merge_reports(full_scan(2, 60), full_scan(50, 100))
+
+    def test_rejects_different_violation_caps(self):
+        a = full_scan(2, 50, violation_cap=3)
+        b = full_scan(50, 100, violation_cap=4)
+        with pytest.raises(ValueError, match="different violation caps"):
+            merge_reports(a, b)
 
     def test_rejects_reversed_order(self):
         with pytest.raises(OverlappingRangesError):
@@ -892,6 +898,14 @@ class TestScanConfigValidation:
         with pytest.raises(ValueError):
             ScanConfig(start=2, stop=100, chunk_size=512).validate()
 
+    def test_rejects_no_workers(self):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            ScanConfig(start=2, stop=100, workers=0).validate()
+
+    def test_rejects_negative_violation_cap(self):
+        with pytest.raises(ValueError, match="violation_cap must be >= 0"):
+            ScanConfig(start=2, stop=100, violation_cap=-1).validate()
+
     def test_rejects_cube_interval_claim(self):
         with pytest.raises(ValueError):
             ScanConfig(
@@ -914,3 +928,11 @@ class TestScanConfigValidation:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         assert default_workers() == 1
         assert ScanConfig(start=2, stop=100).workers == 1
+
+    @pytest.mark.parametrize("cpus, workers", [(3, 3), (None, 1)])
+    def test_default_workers_without_affinity_count_every_cpu(
+        self, monkeypatch, cpus, workers
+    ):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert default_workers() == workers
