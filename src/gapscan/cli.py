@@ -2,9 +2,10 @@
 
 Reports go to stdout (or --out); progress and diagnostics go to stderr.
 Exit codes: 0 all checks passed (vacuous included), 1 a claim FAILed on
-genuine data (a mathematical finding), 2 usage or configuration error,
-3 internal or disk error (identity failure, corrupt checkpoint, a report or
-checkpoint file that cannot be read or written).
+genuine data (a mathematical finding), 2 usage or configuration error (any
+ValueError or OverflowError), 3 disk error (any OSError) or internal error
+(any other exception: identity failure, corrupt checkpoint, a MemoryError,
+a bug).
 """
 
 from __future__ import annotations
@@ -19,11 +20,6 @@ from typing import Iterable, Sequence
 
 from .claims import PAIR_CLAIMS, ClaimId, Status, check_cube_interval, check_pair
 from .codec import to_json
-from .errors import (
-    CheckpointCorruptError,
-    CheckpointMismatchError,
-    IdentityCheckError,
-)
 from .midpoint import MidpointRecord, PrimePair
 from .primes import SCAN_LIMIT, UNIVERSE_LIMIT, next_prime_above
 from .scan import (
@@ -199,8 +195,9 @@ def _cmd_records(args: argparse.Namespace) -> Result:
 
 def run(argv: Sequence[str]) -> int:
     """Parse argv, dispatch, write the result, and map errors to exit
-    codes.  This is the one place a command's output is written: to --out
-    where the command has it and the user gave it, else to stdout."""
+    codes by their base class alone.  This is the one place a command's
+    output is written: to --out where the command has it and the user gave
+    it, else to stdout."""
     parser = _build_parser()
     try:
         args = parser.parse_args(list(argv))
@@ -222,15 +219,15 @@ def run(argv: Sequence[str]) -> int:
             with open(out_path, "w", encoding="utf-8") as fh:
                 fh.write(text)
         return code
-    except (IdentityCheckError, CheckpointCorruptError) as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+    except (OverflowError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (CheckpointMismatchError, OverflowError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except Exception as exc:
+        print(f"internal error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def main() -> None:

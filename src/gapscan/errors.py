@@ -1,19 +1,6 @@
-"""Exception types shared across the package."""
-
-
-class InvalidRangeError(ValueError):
-    """Raised when a half-open range [lo, hi) is empty, reversed, or leaves the
-    supported universe (hi must stay at or below 2**63)."""
-
-
-class RangeTooLargeError(ValueError):
-    """Raised when a single sieve call asks for more cells than one segment may
-    hold; the caller is expected to chunk the range instead."""
-
-
-class MidpointUndefinedError(ValueError):
-    """Midpoint analysis needs two odd primes; the pair (2, 3) has a
-    non-integral midpoint and is rejected."""
+"""The package's own exception types, kept only where a class changes an
+exit code (a RuntimeError exits 3 where a ValueError exits 2) or a
+handler.  Every other check raises a plain ValueError."""
 
 
 class IdentityCheckError(RuntimeError):
@@ -22,14 +9,11 @@ class IdentityCheckError(RuntimeError):
     aborts the scan that detected it."""
 
 
-class OverlappingRangesError(ValueError):
-    """merge_reports received reports whose ranges overlap."""
-
-
 class CheckpointCorruptError(RuntimeError):
     """Checkpoint file is unreadable or structurally invalid."""
 
 
 class CheckpointMismatchError(ValueError):
     """Checkpoint belongs to a different scan configuration (or an
-    unsupported checkpoint version)."""
+    unsupported checkpoint version); `load_checkpoint` lets it through
+    where it turns every other ValueError into CheckpointCorruptError."""

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import MidpointUndefinedError
-
 
 @dataclass(frozen=True)
 class PrimePair:
@@ -56,7 +54,7 @@ def compute_record(pair: PrimePair) -> MidpointRecord:
     """
     p, q, g, m, b = pair.p, pair.q, pair.g, pair.m, pair.b
     if p < 3:
-        raise MidpointUndefinedError("midpoint analysis needs p >= 3")
+        raise ValueError("midpoint analysis needs p >= 3")
     m2 = m * m
     b2 = b * b
     two_p = 2 * p

@@ -41,13 +41,11 @@ from operator import add, mod
 from typing import Iterator
 from zlib import adler32
 
-from .errors import InvalidRangeError, RangeTooLargeError
-
 UNIVERSE_LIMIT = 1 << 63
 
-# The highest stop `ScanConfig.validate` and the cubes command accept: the
-# base primes of a window ending at hi are pi(isqrt(hi - 1)) Python ints,
-# 5.76 million and 241 MiB at 10**16, and several GB near 2**63.
+# The highest stop `windows`, and so every scan and cube interval, accepts:
+# the base primes of a window ending at hi are pi(isqrt(hi - 1)) Python
+# ints, 5.76 million and 241 MiB at 10**16, and several GB near 2**63.
 SCAN_LIMIT = 10**16
 
 # The narrowest and the widest window `window_width` picks, in numbers
@@ -189,12 +187,12 @@ def sieve_range(lo: int, hi: int) -> bytearray:
     Python ints.  They are grown even when the range holds no odd number.
     """
     if lo >= hi:
-        raise InvalidRangeError(f"empty or reversed range [{lo}, {hi})")
+        raise ValueError(f"empty or reversed range [{lo}, {hi})")
     if lo < 0 or hi > UNIVERSE_LIMIT:
-        raise InvalidRangeError(f"range [{lo}, {hi}) leaves [0, 2**63]")
+        raise ValueError(f"range [{lo}, {hi}) leaves [0, 2**63]")
     width = hi - lo
     if width > MAX_SIEVE_WIDTH:
-        raise RangeTooLargeError(
+        raise ValueError(
             f"width {width} exceeds {MAX_SIEVE_WIDTH}; chunk the range"
         )
     return _sieve(lo, hi)
@@ -330,10 +328,13 @@ def windows(lo: int, hi: int) -> Iterator[tuple[int, bytearray]]:
     [lo, hi) in order, flags being the window's `sieve_range` and base the
     first odd number at or past the window's start.  One sieve window ends
     where the next begins: base + 2 * len(flags) is the next one's base.
-    A window holding no odd number yields empty flags.  The range is
-    checked at the call; each window is sieved when the walk reaches it."""
+    A window holding no odd number yields empty flags.  The range, its
+    stop at most SCAN_LIMIT, is checked at the call; each window is sieved
+    when the walk reaches it."""
     if not 0 <= lo < hi:
-        raise InvalidRangeError(f"empty, reversed or negative range [{lo}, {hi})")
+        raise ValueError(f"empty, reversed or negative range [{lo}, {hi})")
+    if hi > SCAN_LIMIT:
+        raise ValueError(f"range [{lo}, {hi}) exceeds 10**16")
     width = window_width(hi)
     sieved = (
         (window_lo | 1, sieve_range(window_lo, min(window_lo + width, hi)))

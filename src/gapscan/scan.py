@@ -36,7 +36,6 @@ from .errors import (
     CheckpointCorruptError,
     CheckpointMismatchError,
     IdentityCheckError,
-    OverlappingRangesError,
 )
 # perfbench/tracing.py wraps gapscan.scan.iter_consecutive_pairs by name.
 from .primes import iter_consecutive_pairs  # noqa: F401
@@ -349,7 +348,7 @@ def scan_chunk(
     """
     t0 = time.perf_counter_ns()
     # Sieve and successor calls go through the module, so a wrapper set on
-    # gapscan.primes sees them.  windows rejects an empty range here.
+    # gapscan.primes sees them.  windows checks the range here.
     walk = primes.windows(lo, hi)
     tally = ChunkTally(claims, violation_cap)
 
@@ -384,7 +383,7 @@ def merge_reports(a: ScanReport, b: ScanReport) -> ScanReport:
     Associative; the zero-width report is the identity.
     """
     if a.stop > b.start:
-        raise OverlappingRangesError(
+        raise ValueError(
             f"[{a.start}, {a.stop}) must lie entirely before [{b.start}, {b.stop})"
         )
     if a.violation_cap != b.violation_cap:

@@ -42,11 +42,7 @@ from gapscan.claims import (
     check_lemma_sqrt,
     check_theorem,
 )
-from gapscan.errors import (
-    IdentityCheckError,
-    InvalidRangeError,
-    MidpointUndefinedError,
-)
+from gapscan.errors import IdentityCheckError
 from gapscan.midpoint import PrimePair, compute_record
 from gapscan.primes import is_prime
 from gapscan.scan import ClaimCounter, GapRecord, RatioRecord, ScanReport
@@ -107,13 +103,13 @@ def make_pair(p: int, q: int) -> PrimePair:
     the pair starting at 2, whose midpoint is not an integer.
     """
     if p >= q:
-        raise InvalidRangeError(f"need p < q, got ({p}, {q})")
+        raise ValueError(f"need p < q, got ({p}, {q})")
     if not is_prime(p):
         raise NotPrimeError(f"{p} is not prime")
     if not is_prime(q):
         raise NotPrimeError(f"{q} is not prime")
     if p == 2:
-        raise MidpointUndefinedError("midpoint of (2, 3) is not an integer")
+        raise ValueError("midpoint of (2, 3) is not an integer")
     for between in range(p + 2, q, 2):
         if is_prime(between):
             raise NotConsecutiveError(f"{between} lies between {p} and {q}")
@@ -198,7 +194,7 @@ def count_odd_multiples(d: int, lo: int, hi: int) -> int:
     if d < 3 or d % 2 == 0:
         raise ValueError(f"divisor must be odd and >= 3, got {d}")
     if lo >= hi:
-        raise InvalidRangeError(f"empty or reversed interval ({lo}, {hi}]")
+        raise ValueError(f"empty or reversed interval ({lo}, {hi}]")
     if hi - lo <= _ENUMERATION_SPAN * d:
         k = lo // d + 1
         if k % 2 == 0:

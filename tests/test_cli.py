@@ -409,6 +409,27 @@ class TestExitCodeFidelity:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "exc, message",
+        [(MemoryError(), "MemoryError"), (RuntimeError("boom"), "boom")],
+        ids=["memory", "bug"],
+    )
+    def test_unexpected_error_exits_three_not_one(
+        self, capsys, monkeypatch, exc, message
+    ):
+        # Exit 1 is a finding on genuine data; a crash must never pose as
+        # one.  A message-less exception is named by its type.
+        def crash(config, progress=None):
+            raise exc
+
+        monkeypatch.setattr(gapscan.cli, "run_scan", crash)
+        code, out, err = invoke(
+            capsys, "scan", "--from", "2", "--to", "1000", "--jobs", "1"
+        )
+        assert code == 3
+        assert out == ""
+        assert err == f"internal error: {message}\n"
+
 
 @pytest.mark.parametrize(
     "argv",

@@ -4,11 +4,13 @@ import inspect
 import os
 import random
 import re
+from bisect import bisect_right
 from itertools import islice
 from math import isqrt
+from operator import lt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gapscan
@@ -16,7 +18,6 @@ import gapscan.claims
 import gapscan.primes
 import gapscan.scan
 from gapscan.claims import check_cube_interval
-from gapscan.errors import InvalidRangeError, RangeTooLargeError
 from gapscan.primes import (
     _ZEROS,
     MAX_SIEVE_WIDTH,
@@ -110,17 +111,19 @@ class TestSieveRange:
         assert list(windows(2, 3)) == [(2, b"\x01"), (3, b"")]
 
     def test_rejects_empty_range(self):
-        with pytest.raises(InvalidRangeError):
+        with pytest.raises(ValueError, match=r"^empty or reversed range \[30, 30\)$"):
             sieve_range(30, 30)
-        with pytest.raises(InvalidRangeError):
+        with pytest.raises(ValueError, match=r"^empty or reversed range \[30, 10\)$"):
             sieve_range(30, 10)
 
     def test_rejects_universe_escape(self):
-        with pytest.raises(InvalidRangeError):
+        with pytest.raises(ValueError, match=r"\) leaves \[0, 2\*\*63\]$"):
             sieve_range(2**63 - 10, 2**63 + 10)
 
     def test_rejects_oversized_allocation(self):
-        with pytest.raises(RangeTooLargeError):
+        with pytest.raises(
+            ValueError, match=f"exceeds {MAX_SIEVE_WIDTH}; chunk the range$"
+        ):
             sieve_range(0, MAX_SIEVE_WIDTH + 1)
 
     @given(
@@ -215,10 +218,17 @@ class TestLargeBasePrimes:
         lo=st.integers(min_value=10**12, max_value=10**13 - 1),
         width=st.integers(min_value=1, max_value=4096),
     )
+    @example(lo=10**14, width=2**16)
+    @example(lo=10**15, width=2**16)
+    @example(lo=10**16 - 2**16, width=2**16)
     @settings(max_examples=60, deadline=None)
-    def test_agrees_with_miller_rabin_at_height(self, lo: int, width: int):
+    def test_agrees_with_miller_rabin_at_height(
+        self, store_to_10_8, lo: int, width: int
+    ):
         # Almost every base prime below isqrt(10**13) is wider than the
-        # window, so nearly every strike takes the one-remainder path.
+        # window, so nearly every strike takes the one-remainder path.  The
+        # examples take 2**16-number windows up to the scan limit, where
+        # the store's primes up to 10**8 strike.
         assert_true_flags(lo, lo + width)
 
 
@@ -320,12 +330,12 @@ class TestWindows:
         ]
 
     def test_rejects_empty_range_at_the_call(self):
-        with pytest.raises(InvalidRangeError):
-            windows(30, 30)
-        with pytest.raises(InvalidRangeError):
-            windows(30, 10)
-        with pytest.raises(InvalidRangeError):
-            windows(-5, 0)
+        for lo, hi in [(30, 30), (30, 10), (-5, 0)]:
+            with pytest.raises(
+                ValueError,
+                match=rf"^empty, reversed or negative range \[{lo}, {hi}\)$",
+            ):
+                windows(lo, hi)
 
 
 @pytest.fixture
@@ -334,6 +344,13 @@ def cold_store(monkeypatch):
     test; the warm store comes back after it."""
     monkeypatch.setattr(gapscan.primes, "_base_primes", [3, 5, 7, 11, 13])
     monkeypatch.setattr(gapscan.primes, "_base_limit", 13)
+
+
+@pytest.fixture(scope="module")
+def store_to_10_8() -> list[int]:
+    """The base-prime store grown to 10**8, as far as a window ending at
+    the scan limit of 10**16 needs it; grown once for the tests at height."""
+    return gapscan.primes._odd_primes_to(10**8)
 
 
 def assert_exact_store() -> None:
@@ -368,6 +385,18 @@ class TestBasePrimeCache:
         cache = gapscan.primes._base_primes
         assert cache[:5] == [3, 5, 7, 11, 13]
         assert len(cache) == oracle_count_primes_below(limit + 1) - 1  # 2 left out
+
+    def test_store_grown_to_the_scan_limit_root(self, store_to_10_8):
+        # pi(10**8) = 5,761,455 (OEIS A006880), and the store leaves 2 out.
+        # A full check by is_prime would take tens of seconds, so the
+        # primes are sampled, the last ones below 10**8 included.
+        store = store_to_10_8
+        below = bisect_right(store, 10**8)
+        assert below == 5_761_454
+        assert store[:5] == [3, 5, 7, 11, 13]
+        assert all(map(lt, store, islice(store, 1, None)))
+        sample = random.Random(0x5EED).sample(range(below), 2000)
+        assert all(is_prime(store[i]) for i in [*sample, *range(below - 100, below)])
 
     def test_many_small_steps_keep_the_store_exact(self, cold_store):
         for n in range(1, 201):

@@ -22,7 +22,6 @@ from gapscan.errors import (
     CheckpointCorruptError,
     CheckpointMismatchError,
     IdentityCheckError,
-    OverlappingRangesError,
 )
 import gapscan.primes
 import gapscan.scan
@@ -452,7 +451,9 @@ class TestMergeReports:
         assert merged.pairs_checked == 4
 
     def test_rejects_overlap(self):
-        with pytest.raises(OverlappingRangesError):
+        with pytest.raises(
+            ValueError, match=r"\[2, 60\) must lie entirely before \[50, 100\)"
+        ):
             merge_reports(full_scan(2, 60), full_scan(50, 100))
 
     def test_rejects_different_violation_caps(self):
@@ -462,7 +463,9 @@ class TestMergeReports:
             merge_reports(a, b)
 
     def test_rejects_reversed_order(self):
-        with pytest.raises(OverlappingRangesError):
+        with pytest.raises(
+            ValueError, match=r"\[50, 100\) must lie entirely before \[2, 50\)"
+        ):
             merge_reports(full_scan(50, 100), full_scan(2, 50))
 
     @given(
@@ -923,6 +926,26 @@ class TestScanConfigValidation:
         for start, stop in [(2, SCAN_LIMIT + 1), (2**63 - 100, 2**63)]:
             with pytest.raises(ValueError, match=r"exceeds 10\*\*16"):
                 ScanConfig(start=start, stop=stop).validate()
+
+    def test_walks_past_the_scan_limit_are_refused_before_sieving(self):
+        # Called without a ScanConfig, the pair walk and scan_chunk meet the
+        # limit in windows.  Near 2**63 the base primes alone outgrow the
+        # 1 GiB cap, so a walk that sieved first would die of MemoryError.
+        code, err = run_capped(
+            "from gapscan.primes import iter_consecutive_pairs\n"
+            "from gapscan.scan import scan_chunk\n"
+            "walks = [lambda: next(iter_consecutive_pairs(2**63 - 100, 2**63)),\n"
+            "         lambda: scan_chunk(2**63 - 100, 2**63)]\n"
+            "for walk in walks:\n"
+            "    try:\n"
+            "        walk()\n"
+            "    except ValueError as exc:\n"
+            "        assert 'exceeds 10**16' in str(exc), exc\n"
+            "    else:\n"
+            "        raise AssertionError('the walk was not refused')\n",
+            limit_mib=1024,
+        )
+        assert code == 0, err
 
     def test_default_workers_follow_affinity(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
