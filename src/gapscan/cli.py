@@ -4,8 +4,8 @@ Reports go to stdout (or --out); progress and diagnostics go to stderr.
 Exit codes: 0 all checks passed (vacuous included), 1 a claim FAILed on
 genuine data (a mathematical finding), 2 usage or configuration error (any
 ValueError or OverflowError), 3 disk error (any OSError) or internal error
-(any other exception: identity failure, corrupt checkpoint, a MemoryError,
-a bug).
+(any other exception: identity failure, corrupt checkpoint, a bug).  A scan
+that runs out of memory can hang instead of exiting 3 (ROADMAP item 3).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 from .claims import PAIR_CLAIMS, ClaimId, Status, check_cube_interval, check_pair
 from .codec import to_json
 from .midpoint import MidpointRecord, PrimePair
-from .primes import SCAN_LIMIT, UNIVERSE_LIMIT, next_prime_above
+from .primes import SCAN_LIMIT, next_prime_above
 from .scan import (
     DEFAULT_CHUNK_SIZE,
     DEFAULT_VIOLATION_CAP,
@@ -139,10 +139,7 @@ def _cmd_scan(args: argparse.Namespace) -> Result:
 
 
 def _cmd_pair(args: argparse.Namespace) -> Result:
-    lower = args.lower_bound
-    if lower > UNIVERSE_LIMIT:
-        raise ValueError(f"lower bound {lower} exceeds 2**63")
-    p = next_prime_above(lower - 1)
+    p = next_prime_above(args.lower_bound - 1)
     q = next_prime_above(p)
     record, outcomes = check_pair(p, q)
     record_json = None if record is None else to_json(record)

@@ -32,11 +32,6 @@ from typing import Callable, Iterable, Iterator
 from . import primes
 from .claims import PAIR_CLAIMS, ClaimId, ClaimOutcome, Status, check_pair
 from .codec import from_json, to_json
-from .errors import (
-    CheckpointCorruptError,
-    CheckpointMismatchError,
-    IdentityCheckError,
-)
 # perfbench/tracing.py wraps gapscan.scan.iter_consecutive_pairs by name.
 from .primes import iter_consecutive_pairs  # noqa: F401
 
@@ -224,7 +219,8 @@ class ChunkTally:
 
     def evaluate(self, p: int, q: int) -> None:
         """Run the pair (p, q) through `check_pair` and settle it; an
-        IDENTITIES failure aborts the scan."""
+        IDENTITIES failure is an arithmetic bug, never a finding, and aborts
+        the scan with a RuntimeError."""
         self.settled += 1
         g = q - p
         self._gaps([GapRecord(p, g)])
@@ -235,7 +231,7 @@ class ChunkTally:
         for outcome in outcomes:
             if outcome.status is Status.FAIL:
                 if outcome.claim is ClaimId.IDENTITIES:
-                    raise IdentityCheckError(
+                    raise RuntimeError(
                         f"identity failed at pair ({p}, {q}): "
                         f"lhs={outcome.lhs} rhs={outcome.rhs}"
                     )
@@ -419,41 +415,45 @@ def save_checkpoint(state: CheckpointState, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> CheckpointState:
-    """Read a checkpoint that `save_checkpoint` wrote.  A partial report
-    that no longer matches its stored hash is corrupt; files without the
-    hash still load.  Other keys, such as the chunk list `completed` of
-    older files, are ignored; `resumed_report` checks the state against a
-    scan's config."""
+    """Read a checkpoint that `save_checkpoint` wrote.  A file that cannot
+    be decoded, or whose partial report no longer matches its stored hash,
+    is corrupt: a RuntimeError.  Files without the hash still load.  Another
+    version is a ValueError, raised outside the decode guards.  Other keys,
+    such as the chunk list `completed` of older files, are ignored;
+    `resumed_report` checks the state against a scan's config."""
     try:
         with open(path, encoding="utf-8") as fh:
             document = json.load(fh)
     except (OSError, RecursionError, ValueError) as exc:
-        raise CheckpointCorruptError(f"unreadable checkpoint {path}: {exc}") from exc
+        raise RuntimeError(f"unreadable checkpoint {path}: {exc}") from exc
+    malformed = (AttributeError, KeyError, OverflowError, TypeError, ValueError)
     try:
         version = int(document["version"])
-        if version != CHECKPOINT_VERSION:
-            raise CheckpointMismatchError(
-                f"checkpoint version {version}, expected {CHECKPOINT_VERSION}"
-            )
+    except malformed as exc:
+        raise RuntimeError(f"malformed checkpoint {path}: {exc}") from exc
+    if version != CHECKPOINT_VERSION:
+        raise ValueError(
+            f"checkpoint version {version}, expected {CHECKPOINT_VERSION}"
+        )
+    try:
         partial = ScanReport.from_json_dict(document["partial"])
         digest = _sha256(document["partial"])
         if document.get("partial_sha256", digest) != digest:
-            raise CheckpointCorruptError(
+            raise RuntimeError(
                 f"checkpoint {path}: partial report does not match its SHA-256"
             )
         return CheckpointState(str(document["config_digest"]), partial)
-    except CheckpointMismatchError:
-        raise
-    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
-        raise CheckpointCorruptError(f"malformed checkpoint {path}: {exc}") from exc
+    except malformed as exc:
+        raise RuntimeError(f"malformed checkpoint {path}: {exc}") from exc
 
 
 def resumed_report(state: CheckpointState, config: ScanConfig) -> ScanReport:
-    """The partial report a scan of `config` resumes from.  It must cover
-    [start, b), b a chunk boundary inside the range or stop itself, under
-    the config's violation cap."""
+    """The partial report a scan of `config` resumes from.  The state must
+    come from a scan of `config` (else ValueError), and its report must
+    cover [start, b), b a chunk boundary inside the range or stop itself,
+    under the config's violation cap (else RuntimeError)."""
     if state.config_digest != config.digest():
-        raise CheckpointMismatchError(
+        raise ValueError(
             "checkpoint was written by a different scan configuration"
         )
     partial = state.partial
@@ -462,7 +462,7 @@ def resumed_report(state: CheckpointState, config: ScanConfig) -> ScanReport:
         (partial.start, partial.violation_cap) != (config.start, config.violation_cap)
         or partial.stop != config.stop and partial.stop not in inner
     ):
-        raise CheckpointCorruptError(
+        raise RuntimeError(
             f"checkpoint report over [{partial.start}, {partial.stop}) with "
             f"violation cap {partial.violation_cap} is no prefix of this scan"
         )

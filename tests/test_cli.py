@@ -387,6 +387,27 @@ class TestExitCodeFidelity:
         assert "internal error" in err
         assert "does not match its SHA-256" in err
 
+    @pytest.mark.parametrize(
+        "version, code, prefix",
+        [
+            (2, 2, "error: checkpoint version 2, expected 1"),
+            ("x", 3, "internal error: malformed checkpoint {ckpt}: invalid literal"),
+        ],
+        ids=["other-version", "not-a-number"],
+    )
+    def test_checkpoint_version(self, capsys, tmp_path, version, code, prefix):
+        # Another version is a checkpoint of another scan (exit 2); a
+        # version that is no number leaves the file undecodable (exit 3).
+        ckpt = write_checkpoint(tmp_path, 2)
+        document = json.loads(ckpt.read_text())
+        document["version"] = version
+        ckpt.write_text(json.dumps(document))
+        got, out, err = invoke(capsys, *resume_args(ckpt))
+        assert got == code
+        assert out == ""
+        assert err.startswith(prefix.format(ckpt=ckpt))
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("flag", ["--checkpoint", "--out"])
     def test_unwritable_file_exits_three(self, capsys, tmp_path, flag):
         missing = tmp_path / "missing" / "file"

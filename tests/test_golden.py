@@ -8,6 +8,8 @@ any report, record, outcome or cube result shows up here as a byte diff.
 from __future__ import annotations
 
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -46,6 +48,24 @@ def test_stdout_matches_golden(capsys, name):
     assert run(list(CASES[name])) == 0
     out = capsys.readouterr().out
     assert mask(out).encode() == (GOLDEN / name).read_bytes()
+
+
+def test_module_entry_point_writes_the_same_bytes():
+    # `python -m gapscan.cli` runs `main`, which exits with `run`'s code.
+    # Run from src/, so the interpreter imports this checkout's package.
+    def cli(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "gapscan.cli", *argv],
+            capture_output=True, cwd=GOLDEN.parent.parent / "src", timeout=60,
+        )
+
+    pair = cli("pair", "113")
+    assert pair.returncode == 0
+    assert pair.stdout == (GOLDEN / "pair-113.json").read_bytes()
+    cubes = cli("cubes", "--max-n", "0")
+    assert cubes.returncode == 2
+    assert cubes.stdout == b""
+    assert cubes.stderr == b"error: --max-n must be >= 1\n"
 
 
 # Crafted pairs put violations with negative sides and a c-histogram with

@@ -18,11 +18,6 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from gapscan.claims import PAIR_CLAIMS, ClaimId, ClaimOutcome, Status
-from gapscan.errors import (
-    CheckpointCorruptError,
-    CheckpointMismatchError,
-    IdentityCheckError,
-)
 import gapscan.primes
 import gapscan.scan
 from gapscan.primes import SCAN_LIMIT, is_prime, iter_consecutive_pairs
@@ -258,8 +253,9 @@ class TestReferenceEquality:
         crafted_pairs(*fed)
         try:
             expected = reference_scan(lo, lo + width, fed=fed)
-        except IdentityCheckError as exc:
-            with pytest.raises(IdentityCheckError, match=f"^{re.escape(str(exc))}$"):
+        except RuntimeError as exc:
+            assert str(exc).startswith("identity failed at pair (")
+            with pytest.raises(RuntimeError, match=f"^{re.escape(str(exc))}$"):
                 full_scan(lo, lo + width)
         else:
             assert full_scan(lo, lo + width) == expected
@@ -310,7 +306,7 @@ class TestInjection:
     def test_forced_identity_failure_aborts(self, crafted_pairs):
         crafted_pairs((3, 4))
         with pytest.raises(
-            IdentityCheckError, match=r"pair \(3, 4\): lhs=-3 rhs=0$"
+            RuntimeError, match=r"^identity failed at pair \(3, 4\): lhs=-3 rhs=0$"
         ):
             full_scan(2, 100)
 
@@ -368,9 +364,11 @@ class TestInjection:
             if o.claim is ClaimId.IDENTITIES and o.status is Status.FAIL
         ]
         if broken:
-            with pytest.raises(
-                IdentityCheckError, match=f"lhs={broken[0].lhs} rhs={broken[0].rhs}$"
-            ):
+            message = (
+                f"identity failed at pair ({p}, {q}): "
+                f"lhs={broken[0].lhs} rhs={broken[0].rhs}"
+            )
+            with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
                 full_scan(*PRIMELESS, claims=claims)
             return
         report = full_scan(*PRIMELESS, claims=claims)
@@ -563,10 +561,20 @@ class TestCheckpoint:
         # A fresh file per example: truncating a written one waits for the disk.
         path = tmp_path / "scan.ckpt"
         path.write_text(json.dumps(document))
+        # Only the version mismatch is a ValueError; every other rejection
+        # is a RuntimeError naming the decode step that refused the file.
         try:
             load_checkpoint(str(path))
-        except (CheckpointCorruptError, CheckpointMismatchError):
-            pass
+        except ValueError as exc:
+            assert type(exc) is ValueError
+            assert re.fullmatch(r"checkpoint version -?\d+, expected 1", str(exc))
+        except RuntimeError as exc:
+            assert type(exc) is RuntimeError
+            assert re.match(
+                r"(unreadable|malformed) checkpoint |checkpoint .*: partial "
+                r"report does not match its SHA-256$",
+                str(exc),
+            )
         finally:
             path.unlink()
 
@@ -583,7 +591,7 @@ class TestCheckpoint:
         assume(value != document["partial_sha256"])
         document["partial_sha256"] = value
         path.write_text(json.dumps(document))
-        with pytest.raises(CheckpointCorruptError, match="SHA-256"):
+        with pytest.raises(RuntimeError, match="does not match its SHA-256$"):
             load_checkpoint(str(path))
 
     def test_save_load_round_trip(self, tmp_path):
@@ -639,10 +647,10 @@ class TestCheckpoint:
     def test_corrupt_file_detected(self, tmp_path):
         path = tmp_path / "scan.ckpt"
         path.write_text("{not json")
-        with pytest.raises(CheckpointCorruptError):
+        with pytest.raises(RuntimeError, match="^unreadable checkpoint "):
             load_checkpoint(str(path))
         path.write_text('{"version": 1}')
-        with pytest.raises(CheckpointCorruptError):
+        with pytest.raises(RuntimeError, match="^malformed checkpoint "):
             load_checkpoint(str(path))
 
     def test_version_mismatch_detected(self, tmp_path):
@@ -650,7 +658,7 @@ class TestCheckpoint:
         path.write_text(
             '{"version": 2, "config_digest": "x", "partial": null}'
         )
-        with pytest.raises(CheckpointMismatchError):
+        with pytest.raises(ValueError, match="^checkpoint version 2, expected 1$"):
             load_checkpoint(str(path))
 
     def test_config_mismatch_rejected_on_resume(self, tmp_path):
@@ -660,7 +668,9 @@ class TestCheckpoint:
         run_scan(config, halt_after_chunks=1)
         other = ScanConfig(start=2, stop=6000, chunk_size=1 << 10,
                            checkpoint_path=path, workers=1)
-        with pytest.raises(CheckpointMismatchError):
+        with pytest.raises(ValueError, match=(
+            "^checkpoint was written by a different scan configuration$"
+        )):
             run_scan(other)
 
     def test_interrupt_and_resume_reproduces_report(self, tmp_path):
