@@ -111,8 +111,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _progress(done: int, total: int, chunk: tuple[int, int]) -> None:
-    print(f"[{done}/{total}] chunk [{chunk[0]}, {chunk[1]}) merged",
+def _progress(done: int, total: int, task: tuple[int, int]) -> None:
+    print(f"[{done}/{total}] chunks [{task[0]}, {task[1]}) merged",
           file=sys.stderr)
 
 

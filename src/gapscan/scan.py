@@ -9,7 +9,7 @@ through `claims.check_pair`, which builds each one's record.  A
 `ChunkTally` adds them up.  Every other pair is settled by the lemma
 proved in `scan_chunk`, which tests pin against an every-pair reference
 scan.  Determinism contract: the final report never depends on worker
-count, scheduling, or chunking (chunk merges happen in range order).
+count, scheduling, or chunking (task merges happen in range order).
 
 Reports are value objects that merge associatively, so a scan can be
 partitioned, checkpointed, and resumed without changing its result.
@@ -24,7 +24,7 @@ import json
 import os
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from math import isqrt
 from multiprocessing import get_context
 from typing import Callable, Iterable, Iterator
@@ -42,8 +42,8 @@ CHECKPOINT_VERSION = 1
 # Each save waits for the disk (tens of ms on ext4), so between the halt and
 # final saves run_scan saves at most once per this many wall seconds; a crash
 # loses at most that much merged work, plus what the workers hold unmerged:
-# the batch each one is scanning, at most primes.SEGMENT_WIDTH numbers or one
-# chunk (see run_scan), and any chunks done ahead of an earlier one.
+# the task each one is scanning, at most one rule window or one chunk (see
+# run_scan), and any tasks done ahead of an earlier one.
 CHECKPOINT_INTERVAL_S = 1.0
 
 
@@ -478,22 +478,26 @@ def run_scan(
     progress: Callable[[int, int, tuple[int, int]], None] | None = None,
     halt_after_chunks: int | None = None,
 ) -> ScanReport:
-    """Execute a full scan: plan chunks, fan out to workers, merge in range
-    order, checkpointing the merged report at most once per
-    CHECKPOINT_INTERVAL_S of wall time, on halt, and after the last chunk.
-    A scan resumes at its checkpoint's partial report's stop.  Chunks go
-    out as a lazy stream, so memory does not grow with their count.
+    """Execute a full scan: fan tasks out to workers, merge in range order,
+    checkpointing the merged report at most once per CHECKPOINT_INTERVAL_S
+    of wall time, on halt, and after the last task.  A scan resumes at its
+    checkpoint's partial report's stop.  Tasks go out as a lazy stream, so
+    memory does not grow with their count.
 
-    `progress` is called as progress(done, total, chunk) after each merge.
-    `halt_after_chunks` stops early after that many newly merged chunks, at
-    least 1 (the checkpoint, if configured, then allows an exact resume);
-    used to exercise interrupt/resume.
+    A task is k = max(1, primes.window_width(stop) // chunk_size)
+    consecutive grid chunks, scanned by one `scan_chunk` walk, so it fits
+    in one rule window and pays the base-prime loop once.  With more than
+    one worker, k is also at most chunks // (4 * workers), chunks being
+    those this call scans: at least 4 tasks per worker where there are
+    that many chunks.  Tasks start at the resume point; merges,
+    checkpoints and `progress` go task by task.
 
-    With more than one worker, chunks go to the pool in batches of
-    max(1, min(tasks // (4 * workers), primes.SEGMENT_WIDTH // chunk_size)),
-    tasks being the chunks left: at least 4 batches per worker where there
-    are that many chunks, and at most SEGMENT_WIDTH numbers or one chunk
-    each.  Merges, `progress`, halts and checkpoints go chunk by chunk.
+    `progress` is called as progress(done, total, task) after each merge,
+    done and total counting grid chunks.  `halt_after_chunks` ends the
+    stream that many chunks past the resume point, at least 1, cutting the
+    last task there, so every partial report ends on the chunk grid (the
+    checkpoint, if configured, then allows an exact resume); used to
+    exercise interrupt/resume.
     """
     if halt_after_chunks is not None and halt_after_chunks < 1:
         raise ValueError(f"halt_after_chunks must be >= 1, got {halt_after_chunks}")
@@ -505,38 +509,34 @@ def run_scan(
         partial = resumed_report(load_checkpoint(config.checkpoint_path), config)
     resume = config.start if partial is None else partial.stop
 
-    done = len(range(config.start, resume, config.chunk_size))
-    total = len(range(config.start, config.stop, config.chunk_size))
-    halt_at = total if halt_after_chunks is None else done + halt_after_chunks
-    # resume lies on the plan's chunk grid, so this is the plan's tail.
-    tasks = (
-        (lo, hi, config.claims, config.violation_cap)
-        for lo, hi in plan_chunks(replace(config, start=resume))
-    )
-    workers = min(config.workers, total - done)
+    size = config.chunk_size
+    end = config.stop
+    if halt_after_chunks is not None:
+        end = min(end, resume + halt_after_chunks * size)
+    chunks = len(range(resume, end, size))
+    workers = min(config.workers, chunks)
+    k = primes.window_width(config.stop) // size
+    if workers > 1:
+        k = min(k, chunks // (4 * workers))
+    step = max(1, k) * size
+    tasks = ((lo, min(lo + step, end), config.claims, config.violation_cap)
+             for lo in range(resume, end, step))
+    total = len(range(config.start, config.stop, size))
     last_save = time.monotonic()
-    # Leaving the block terminates the pool, also on halt.
+    # Leaving the block terminates the pool, also on an error.
     with (get_context().Pool(workers) if workers > 1 else nullcontext()) as pool:
-        if pool is None:
-            reports = map(_scan_chunk_task, tasks)
-        else:
-            batch = min(
-                (total - done) // (4 * workers),
-                primes.SEGMENT_WIDTH // config.chunk_size,
-            )
-            reports = pool.imap(_scan_chunk_task, tasks, max(1, batch))
-        for done, report in enumerate(reports, done + 1):
+        fan_out = map if pool is None else pool.imap
+        for report in fan_out(_scan_chunk_task, tasks):
             partial = report if partial is None else merge_reports(partial, report)
             if config.checkpoint_path and (
-                done in (halt_at, total)
+                report.stop == end
                 or time.monotonic() - last_save >= CHECKPOINT_INTERVAL_S
             ):
                 save_checkpoint(CheckpointState(digest, partial), config.checkpoint_path)
                 last_save = time.monotonic()
             if progress is not None:
+                done = len(range(config.start, report.stop, size))
                 progress(done, total, (report.start, report.stop))
-            if done == halt_at:
-                break
 
     assert partial is not None  # plan is never empty for a validated config
     return partial

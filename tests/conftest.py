@@ -11,9 +11,10 @@ shortcut must equal, takes its pairs from it, and `make_pair` is the
 validated pair constructor the record tests build their pairs with.  The
 `crafted_pairs` fixture feeds chosen non-genuine pairs to the scan, which
 is how the failure and exit-code paths are reached: genuine consecutive
-primes never fail a claim.  `run_capped` runs a snippet in a fresh
-interpreter under a cap on its address space, for the tests that a scan's
-memory stays bounded.
+primes never fail a claim.  `count_calls` records the ranges a wrapped
+function is called with, for the tests that pin sieve traffic.
+`run_capped` runs a snippet in a fresh interpreter under a cap on its
+address space, for the tests that a scan's memory stays bounded.
 """
 
 from __future__ import annotations
@@ -63,6 +64,20 @@ def run_capped(code: str, limit_mib: int, timeout: float = 120) -> tuple[int, st
         capture_output=True, text=True, timeout=timeout,
     )
     return done.returncode, done.stderr
+
+
+def count_calls(monkeypatch, module, name: str) -> list[tuple[int, int]]:
+    """Wrap module.name, as the benchmark tracer does, and return the list
+    of (lo, hi) it is called with."""
+    calls = []
+    inner = getattr(module, name)
+
+    def counted(lo, hi):
+        calls.append((lo, hi))
+        return inner(lo, hi)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 # count_odd_multiples enumerates while the span is at most this many times

@@ -50,6 +50,15 @@ def test_stdout_matches_golden(capsys, name):
     assert mask(out).encode() == (GOLDEN / name).read_bytes()
 
 
+def test_pool_scan_matches_the_one_worker_golden(capsys):
+    # 153 chunks of 2**16 numbers go to two workers as 10 tasks.
+    argv = ["scan", "--from", "2", "--to", "10000000", "--chunk-size", "65536",
+            "--jobs", "2"]
+    assert run(argv) == 0
+    out = capsys.readouterr().out
+    assert mask(out).encode() == (GOLDEN / "scan-2-10000000.json").read_bytes()
+
+
 def test_module_entry_point_writes_the_same_bytes():
     # `python -m gapscan.cli` runs `main`, which exits with `run`'s code.
     # Run from src/, so the interpreter imports this checkout's package.

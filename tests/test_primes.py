@@ -36,6 +36,7 @@ from gapscan.primes import (
 from gapscan.scan import scan_chunk
 
 from conftest import (
+    count_calls,
     flagged_primes,
     oracle_consecutive_pairs,
     oracle_count_primes_below,
@@ -357,20 +358,6 @@ def assert_exact_store() -> None:
     """The store holds exactly the odd primes <= its limit, in order."""
     store = gapscan.primes._base_primes
     assert store == oracle_primes_below(gapscan.primes._base_limit + 1)[1:]
-
-
-def count_calls(monkeypatch, module, name: str) -> list[tuple[int, int]]:
-    """Wrap module.name, as the benchmark tracer does, and return the list
-    of (lo, hi) it is called with."""
-    calls = []
-    inner = getattr(module, name)
-
-    def counted(lo, hi):
-        calls.append((lo, hi))
-        return inner(lo, hi)
-
-    monkeypatch.setattr(module, name, counted)
-    return calls
 
 
 class TestBasePrimeCache:

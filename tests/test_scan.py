@@ -39,6 +39,7 @@ from gapscan.scan import (
 )
 
 from conftest import (
+    count_calls,
     oracle_gap_records,
     oracle_primes_below,
     record_path_outcomes,
@@ -57,6 +58,23 @@ def full_scan(lo: int, hi: int, **kwargs) -> ScanReport:
 def empty_report(lo: int, hi: int) -> ScanReport:
     """The report of a range that owns no pair, from a tally that saw none."""
     return ChunkTally(PAIR_CLAIMS, DEFAULT_VIOLATION_CAP).report(lo, hi, 0)
+
+
+@pytest.fixture
+def pools(monkeypatch) -> list[int]:
+    """The worker count of each pool run_scan opens, in order; the pools
+    are real."""
+    opened = []
+    context = multiprocessing.get_context()
+
+    def pool(workers):
+        opened.append(workers)
+        return context.Pool(workers)
+
+    monkeypatch.setattr(
+        gapscan.scan, "get_context", lambda: SimpleNamespace(Pool=pool)
+    )
+    return opened
 
 
 class TestPlanChunks:
@@ -481,13 +499,17 @@ class TestMergeReports:
             a, merge_reports(b, c)
         )
 
-    def test_partition_invariance_small(self):
-        whole = full_scan(2, 10**5)
+    def test_partition_invariance_small(self, pools):
+        # Three rule windows of 2**20 numbers: each chunk size sends three
+        # tasks, cut at 2**20 or, for 33333, at 31 chunks.
+        whole = full_scan(2, 3 * 10**6)
         for chunk_size in (1 << 10, 1 << 12, 33333):
-            config = ScanConfig(start=2, stop=10**5, chunk_size=chunk_size, workers=1)
+            config = ScanConfig(start=2, stop=3 * 10**6, chunk_size=chunk_size,
+                                workers=1)
             assert run_scan(config) == whole
-        config = ScanConfig(start=2, stop=10**5, chunk_size=1 << 12, workers=3)
+        config = ScanConfig(start=2, stop=3 * 10**6, chunk_size=1 << 12, workers=3)
         assert run_scan(config) == whole
+        assert pools == [3]
 
 
 class TestReportSerialization:
@@ -638,8 +660,8 @@ class TestCheckpoint:
         assert resumed == run_scan(
             ScanConfig(start=2, stop=5000, chunk_size=1024, workers=1)
         )
-        assert seen == [(3, 5, (2050, 3074)), (4, 5, (3074, 4098)),
-                        (5, 5, (4098, 5000))]
+        # The three chunks left lie in one rule window: one task.
+        assert seen == [(5, 5, (2050, 5000))]
         assert set(json.loads(path.read_text())) == {
             "version", "config_digest", "partial", "partial_sha256"
         }
@@ -714,8 +736,10 @@ class TestCheckpoint:
     def test_saves_at_most_once_per_interval(
         self, tmp_path, monkeypatch, step, halt, saved_at
     ):
-        # A stubbed clock advances `step` seconds per scanned chunk; every
+        # A stubbed clock advances `step` seconds per scanned task; every
         # save records how many of the 64 chunks its partial report covers.
+        # A chunk of 2**20 numbers fills a rule window here, so each chunk
+        # is a task of its own.
         now = 0.0
         scan_chunk_ = gapscan.scan.scan_chunk
         save_checkpoint_ = gapscan.scan.save_checkpoint
@@ -727,7 +751,7 @@ class TestCheckpoint:
             return scan_chunk_(*args)
 
         def counted_save(state, path):
-            saved.append((state.partial.stop - 2) // 1024)
+            saved.append((state.partial.stop - 2) // 2**20)
             save_checkpoint_(state, path)
 
         clock = SimpleNamespace(
@@ -737,7 +761,7 @@ class TestCheckpoint:
         monkeypatch.setattr(gapscan.scan, "scan_chunk", timed_chunk)
         monkeypatch.setattr(gapscan.scan, "save_checkpoint", counted_save)
         path = str(tmp_path / "scan.ckpt")
-        config = ScanConfig(start=2, stop=2 + 64 * 1024, chunk_size=1 << 10,
+        config = ScanConfig(start=2, stop=2 + 64 * 2**20, chunk_size=1 << 20,
                             checkpoint_path=path, workers=1)
         report = run_scan(config, halt_after_chunks=halt)
         assert saved == saved_at
@@ -770,13 +794,15 @@ class TestCheckpoint:
 
 
 class TestPool:
-    def test_halt_and_resume_under_a_pool(self, tmp_path):
-        # 49 chunks on 2 workers go out 6 to a batch, so the halt at 5 falls
-        # inside the first batch.
+    def test_halt_and_resume_under_a_pool(self, tmp_path, pools):
+        # 49 chunks of 2**18 numbers: the halt at 5 leaves too few chunks for
+        # 4 tasks per worker, so they go out one to a task; the resume sends
+        # tasks of 4, one rule window, from there.
         path = str(tmp_path / "scan.ckpt")
-        config = ScanConfig(start=2, stop=2 * 10**5, chunk_size=1 << 12,
+        config = ScanConfig(start=2, stop=12_800_000, chunk_size=1 << 18,
                             checkpoint_path=path, workers=2)
         plan = list(plan_chunks(config))
+        assert len(plan) == 49
         seen = []
 
         def progress(done, total, chunk):
@@ -787,29 +813,47 @@ class TestPool:
         state = load_checkpoint(path)
         assert state.partial.stop == plan[4][1]
         assert state.partial == partial
-        prefix = ScanConfig(start=2, stop=plan[4][1], chunk_size=1 << 12, workers=1)
+        prefix = ScanConfig(start=2, stop=plan[4][1], chunk_size=1 << 18, workers=1)
         assert partial == run_scan(prefix)
 
         resumed = run_scan(config, progress)
         assert multiprocessing.active_children() == []
         uninterrupted = run_scan(
-            ScanConfig(start=2, stop=2 * 10**5, chunk_size=1 << 12, workers=1)
+            ScanConfig(start=2, stop=12_800_000, chunk_size=1 << 18, workers=1)
         )
         assert resumed == uninterrupted
+        assert pools == [2, 2]
+        cuts = [*range(6), *range(9, 50, 4)]
         assert seen == [
-            (done, len(plan), chunk) for done, chunk in enumerate(plan, 1)
+            (j, len(plan), (plan[i][0], plan[j - 1][1]))
+            for i, j in zip(cuts, cuts[1:])
         ]
 
-    # [2, 10**15) in chunks of 2**10 is about 10**12 chunks.  A plan held as
-    # a list takes some 200 bytes a chunk, so a scan that listed its plan
-    # would fail under the 1 GiB cap before it scanned one chunk.  Never run
-    # these scans without the cap.
+    # [2, 10**15) in chunks of 2**10 is about 10**12 chunks, sent as about
+    # 1.5 * 10**7 tasks of one 2**26-number window.  A task held in a list
+    # takes some 140 bytes, so a scan that listed its tasks, or fed them to
+    # Pool.map, would fail under the 1 GiB cap before it merged one.  A halt
+    # would cut the stream short, so these scans run unhalted and stop by
+    # raising from `progress` at the first merge.  Never run them without
+    # the cap.
+    FIRST_TASK = (
+        "from gapscan.scan import ScanConfig, run_scan\n"
+        "class Merged(Exception):\n"
+        "    pass\n"
+        "def stop(done, total, task):\n"
+        "    raise Merged(task)\n"
+        "def first_task(workers):\n"
+        "    config = ScanConfig(2, 10**15, chunk_size=2**10, workers=workers)\n"
+        "    try:\n"
+        "        run_scan(config, stop)\n"
+        "    except Merged as merged:\n"
+        "        return merged.args[0]\n"
+        "    raise AssertionError('the scan ended')\n"
+    )
+
     def test_huge_plan_runs_in_bounded_memory(self):
         code, err = run_capped(
-            "from gapscan.scan import ScanConfig, run_scan\n"
-            "config = ScanConfig(2, 10**15, chunk_size=2**10, workers=1)\n"
-            "report = run_scan(config, halt_after_chunks=1)\n"
-            "assert (report.start, report.stop) == (2, 1026), report\n",
+            self.FIRST_TASK + "assert first_task(1) == (2, 2 + 2**26)\n",
             limit_mib=1024,
         )
         assert code == 0, err
@@ -817,25 +861,31 @@ class TestPool:
     def test_huge_plan_on_a_pool_runs_in_bounded_memory(self):
         code, err = run_capped(
             "import multiprocessing\n"
-            "from gapscan.scan import ScanConfig, run_scan\n"
-            "config = ScanConfig(2, 10**15, chunk_size=2**10, workers=2)\n"
-            "report = run_scan(config, halt_after_chunks=3)\n"
-            "assert (report.start, report.stop) == (2, 3074), report\n"
+            "import gapscan.scan\n"
+            "from types import SimpleNamespace\n"
+            "opened = []\n"
+            "def pool(workers):\n"
+            "    opened.append(workers)\n"
+            "    return multiprocessing.get_context().Pool(workers)\n"
+            "gapscan.scan.get_context = lambda: SimpleNamespace(Pool=pool)\n"
+            + self.FIRST_TASK
+            + "assert first_task(2) == (2, 2 + 2**26)\n"
+            "assert opened == [2], opened\n"
             "assert multiprocessing.active_children() == []\n",
             limit_mib=1024,
         )
         assert code == 0, err
 
     @staticmethod
-    def batch_sizes(monkeypatch, config: ScanConfig) -> list[tuple[int, int]]:
-        """The (workers, chunksize) of each pool run_scan opens for config,
-        from a stand-in pool that scans in this process; the scan halts
-        after its first chunk."""
-        opened = []
+    def sent(monkeypatch, config: ScanConfig) -> tuple[list[int], list[tuple[int, int]]]:
+        """The worker count of each pool run_scan opens for config, and the
+        (lo, hi) of each task it sends, from a stand-in pool that maps in
+        this process and a scan_chunk that scans nothing."""
+        opened, tasks = [], []
 
         class RecordingPool:
             def __init__(self, workers):
-                self.workers = workers
+                opened.append(workers)
 
             def __enter__(self):
                 return self
@@ -843,41 +893,61 @@ class TestPool:
             def __exit__(self, *exc):
                 return None
 
-            def imap(self, fn, tasks, chunksize=1):
-                opened.append((self.workers, chunksize))
-                return map(fn, tasks)
+            def imap(self, fn, stream):
+                return map(fn, stream)
+
+        def unscanned(lo, hi, claims, violation_cap):
+            tasks.append((lo, hi))
+            return ChunkTally(claims, violation_cap).report(lo, hi, 0)
 
         monkeypatch.setattr(
             gapscan.scan, "get_context", lambda: SimpleNamespace(Pool=RecordingPool)
         )
-        run_scan(config, halt_after_chunks=1)
-        return opened
+        monkeypatch.setattr(gapscan.scan, "scan_chunk", unscanned)
+        run_scan(config)
+        return opened, tasks
 
     @pytest.mark.parametrize("chunk_size", [1 << 20, 1 << 22, 1 << 24])
     def test_one_chunk_per_message_from_a_floor_window_up(
         self, monkeypatch, chunk_size
     ):
+        # A chunk at least as wide as its rule window is a task of its own.
         config = ScanConfig(start=2, stop=2 + 64 * chunk_size,
                             chunk_size=chunk_size, workers=2)
-        assert self.batch_sizes(monkeypatch, config) == [(2, 1)]
+        assert self.sent(monkeypatch, config) == ([2], list(plan_chunks(config)))
 
     def test_cheap_chunks_fill_a_floor_window(self, monkeypatch):
-        # The parallel checkpointed benchmark's shape: 306 chunks.
-        config = ScanConfig(start=2, stop=2 * 10**7, chunk_size=1 << 16, workers=2)
-        assert self.batch_sizes(monkeypatch, config) == [(2, 16)]
+        # The parallel checkpointed benchmark's shape: its 306 chunks go out
+        # 16 to a task, 20 tasks, the last one cut at stop.
+        stop = 2 * 10**7
+        config = ScanConfig(start=2, stop=stop, chunk_size=1 << 16, workers=2)
+        opened, tasks = self.sent(monkeypatch, config)
+        assert opened == [2]
+        assert tasks == [
+            (lo, min(lo + 16 * 2**16, stop)) for lo in range(2, stop, 2**20)
+        ]
+        assert len(tasks) == 20
 
     @pytest.mark.parametrize("chunks", [2, 7, 8, 9, 17, 33, 100])
     @pytest.mark.parametrize("workers", [2, 3])
     def test_short_plan_gives_each_worker_four_messages(
         self, monkeypatch, chunks, workers
     ):
+        # The whole plan fits in one rule window, so only the four-tasks
+        # rule splits it: 17 chunks on 2 workers go out 2 to a task.
         config = ScanConfig(start=2, stop=2 + chunks * 1024, chunk_size=1024,
                             workers=workers)
-        [(opened, batch)] = self.batch_sizes(monkeypatch, config)
+        [opened], tasks = self.sent(monkeypatch, config)
         assert opened == min(workers, chunks)
-        messages = -(-chunks // batch)
-        assert messages >= min(chunks, 4 * opened)
-        assert batch * 1024 <= gapscan.primes.SEGMENT_WIDTH
+        k = max(1, chunks // (4 * opened))
+        assert tasks == [(lo, min(lo + k * 1024, config.stop))
+                         for lo in range(2, config.stop, k * 1024)]
+        assert len(tasks) >= min(chunks, 4 * opened)
+
+    def test_plan_inside_one_window_is_one_task_in_process(self, monkeypatch):
+        config = ScanConfig(start=2, stop=2 + 100 * 1024, chunk_size=1024,
+                            workers=1)
+        assert self.sent(monkeypatch, config) == ([], [(2, 2 + 100 * 1024)])
 
     def test_per_claim_order_ignores_hash_seed(self):
         # ClaimId hashes are string hashes, so an order taken from a set
@@ -896,6 +966,51 @@ class TestPool:
             )
             orders.append(done.stdout.split())
         assert orders[0] == orders[1] == [c.value for c in PAIR_CLAIMS]
+
+
+class TestTasks:
+    """A task is the consecutive chunks of one rule window, scanned by one
+    walk: the sieve windows of a scan do not depend on its chunk size."""
+
+    def test_dense_tasks_sieve_one_floor_window_each(self, monkeypatch):
+        # 306 chunks of 2**16 numbers go out as 20 tasks of one window.
+        stop = 2 * 10**7
+        calls = count_calls(monkeypatch, gapscan.primes, "sieve_range")
+        report = run_scan(ScanConfig(2, stop, chunk_size=1 << 16, workers=1))
+        assert calls == [(lo, min(lo + 2**20, stop)) for lo in range(2, stop, 2**20)]
+        assert len(calls) == 20
+        assert report == run_scan(ScanConfig(2, stop, chunk_size=1 << 10, workers=1))
+        assert report == scan_chunk(2, stop)
+
+    def test_high_default_chunks_are_one_window(self, monkeypatch):
+        # Four default chunks of 2**24 numbers make one 2**26-number window.
+        lo, hi = 10**12, 10**12 + 2**26
+        calls = count_calls(monkeypatch, gapscan.primes, "sieve_range")
+        report = run_scan(ScanConfig(lo, hi, workers=1))
+        assert calls == [(lo, hi)]
+        assert report == run_scan(ScanConfig(lo, hi, chunk_size=1 << 10, workers=1))
+        assert report == scan_chunk(lo, hi)
+
+    def test_halt_on_a_pool_stops_on_the_chunk_grid(self, tmp_path, pools):
+        stop, chunk = 2 * 10**7, 1 << 16
+        path = str(tmp_path / "scan.ckpt")
+        config = ScanConfig(2, stop, chunk_size=chunk, checkpoint_path=path,
+                            workers=2)
+        halt = 2 + 37 * chunk
+        partial = run_scan(config, halt_after_chunks=37)
+        assert (partial.start, partial.stop) == (2, halt)
+        assert load_checkpoint(path).partial == partial
+        assert partial == scan_chunk(2, halt)
+
+        # 37 chunks is off the grid of 16-chunk tasks, and the resume's
+        # tasks start there.
+        seen = []
+        resumed = run_scan(config, lambda *args: seen.append(args))
+        assert seen[0] == (37 + 16, 306, (halt, halt + 2**20))
+        assert seen[-1] == (306, 306, (seen[-1][2][0], stop))
+        assert resumed == scan_chunk(2, stop)
+        assert pools == [2, 2]
+        assert multiprocessing.active_children() == []
 
 
 class TestScanConfigValidation:
