@@ -16,7 +16,7 @@ from enum import Enum
 from typing import Container
 
 from .midpoint import MidpointRecord, PrimePair, compute_record
-from .primes import UNIVERSE_LIMIT, count_flags, windows
+from .primes import count_flags, windows
 # perfbench/tracing.py wraps gapscan.claims.sieve_range by name.
 from .primes import sieve_range  # noqa: F401
 
@@ -187,17 +187,13 @@ def check_cube_interval(n: int) -> CubeIntervalResult:
     """Count primes strictly between n**3 and (n+1)**3.
 
     witness is the smallest such prime (0 if none); PASS means at least one
-    prime lives in the interval.  (n+1)**3 may reach at most SCAN_LIMIT,
-    which `windows` checks before it sieves.
+    prime lives in the interval.  (n+1)**3 may reach at most 10**16:
+    `windows` refuses a larger one with ValueError before it sieves.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    cube_lo = n * n * n
-    cube_hi = (n + 1) ** 3
-    if cube_hi >= UNIVERSE_LIMIT:
-        raise OverflowError(f"(n+1)**3 = {cube_hi} leaves the 2**63 universe")
     count = witness = 0
-    for base, flags in windows(cube_lo + 1, cube_hi):
+    for base, flags in windows(n**3 + 1, (n + 1) ** 3):
         count += count_flags(flags)
         if not witness and (i := flags.find(1)) >= 0:
             witness = base + 2 * i

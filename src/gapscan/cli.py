@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 from .claims import PAIR_CLAIMS, ClaimId, Status, check_cube_interval, check_pair
 from .codec import to_json
 from .midpoint import MidpointRecord, PrimePair
-from .primes import SCAN_LIMIT, next_prime_above
+from .primes import next_prime_above, windows
 from .scan import (
     DEFAULT_CHUNK_SIZE,
     DEFAULT_VIOLATION_CAP,
@@ -167,8 +167,7 @@ def _cmd_pair(args: argparse.Namespace) -> Result:
 def _cmd_cubes(args: argparse.Namespace) -> Result:
     if args.max_n < 1:
         raise ValueError("--max-n must be >= 1")
-    if (args.max_n + 1) ** 3 > SCAN_LIMIT:
-        raise ValueError(f"--max-n {args.max_n}: (max_n + 1)**3 exceeds 10**16")
+    windows(args.max_n**3 + 1, (args.max_n + 1) ** 3)  # checks the last interval now
     results = [check_cube_interval(n) for n in range(1, args.max_n + 1)]
     results_json = to_json(results)
     document = {"max_n": to_json(args.max_n), "results": results_json}

@@ -329,8 +329,10 @@ def windows(lo: int, hi: int) -> Iterator[tuple[int, bytearray]]:
     first odd number at or past the window's start.  One sieve window ends
     where the next begins: base + 2 * len(flags) is the next one's base.
     A window holding no odd number yields empty flags.  The range, its
-    stop at most SCAN_LIMIT, is checked at the call; each window is sieved
-    when the walk reaches it."""
+    stop at most SCAN_LIMIT, is checked at the call, the one check of the
+    limit that `ScanConfig.validate`, `cubes`, `scan_chunk`,
+    `check_cube_interval` and `iter_consecutive_pairs` all go through;
+    each window is sieved when the walk reaches it."""
     if not 0 <= lo < hi:
         raise ValueError(f"empty, reversed or negative range [{lo}, {hi})")
     if hi > SCAN_LIMIT:

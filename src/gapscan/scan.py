@@ -75,10 +75,7 @@ class ScanConfig:
     def validate(self) -> None:
         if self.start < 2:
             raise ValueError(f"scan start must be >= 2, got {self.start}")
-        if self.start >= self.stop:
-            raise ValueError(f"empty or reversed range [{self.start}, {self.stop})")
-        if self.stop > primes.SCAN_LIMIT:
-            raise ValueError(f"scan stop {self.stop} exceeds 10**16")
+        primes.windows(self.start, self.stop)  # checks the range, sieves nothing
         if self.chunk_size < MIN_CHUNK_SIZE:
             raise ValueError(f"chunk_size must be >= {MIN_CHUNK_SIZE}")
         if self.workers < 1:

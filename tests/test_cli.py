@@ -81,6 +81,19 @@ class TestPairCommand:
         assert code == 2
         assert "error" in err
 
+    def test_last_pair_below_the_universe_cap(self, capsys):
+        # 2**63 - 165 and 2**63 - 25 are the last two primes below 2**63.
+        code, out, _ = invoke(capsys, "pair", str(2**63 - 165))
+        assert code == 0
+        pair = json.loads(out)["pair"]
+        assert (pair["p"], pair["q"]) == (str(2**63 - 165), str(2**63 - 25))
+        code, out, err = invoke(capsys, "pair", str(2**63 - 164))
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: no prime above {2**63 - 25} within the 2**63 universe\n"
+        )
+
 
 class TestCubesCommand:
     def test_first_two_intervals(self, capsys):
@@ -111,6 +124,16 @@ class TestCubesCommand:
         assert code == 2
         assert out == ""
         assert "10**16" in err
+
+    def test_refuses_the_first_n_past_the_scan_limit(self, capsys):
+        # 215443**3 <= 10**16 < 215444**3: the last interval is refused at
+        # once, not after sieving the 215,442 before it.
+        code, out, err = invoke(capsys, "cubes", "--max-n", "215443")
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: range [9999934692543308, 10000073940248384) exceeds 10**16\n"
+        )
 
 
 class TestRecordsCommand:

@@ -338,6 +338,18 @@ class TestWindows:
             ):
                 windows(lo, hi)
 
+    def test_scan_limit_is_checked_at_the_call(self, monkeypatch):
+        # 215443**3 <= 10**16 < 215444**3: the last cube interval within
+        # the limit is accepted and the next refused, neither one sieved.
+        calls = count_calls(monkeypatch, gapscan.primes, "sieve_range")
+        windows(215442**3 + 1, 215443**3)
+        lo, hi = 215443**3 + 1, 215444**3
+        with pytest.raises(
+            ValueError, match=rf"^range \[{lo}, {hi}\) exceeds 10\*\*16$"
+        ):
+            windows(lo, hi)
+        assert calls == []
+
 
 @pytest.fixture
 def cold_store(monkeypatch):

@@ -1018,6 +1018,13 @@ class TestScanConfigValidation:
         with pytest.raises(ValueError):
             ScanConfig(start=2, stop=0).validate()
 
+    @pytest.mark.parametrize("stop", [10, 5])
+    def test_rejects_empty_or_reversed_range(self, stop):
+        with pytest.raises(
+            ValueError, match=rf"^empty, reversed or negative range \[10, {stop}\)$"
+        ):
+            ScanConfig(start=10, stop=stop).validate()
+
     def test_rejects_start_below_two(self):
         with pytest.raises(ValueError):
             ScanConfig(start=1, stop=100).validate()
