@@ -1,15 +1,15 @@
 """Chunked, mergeable range scans of every consecutive-prime pair under
 the enabled per-pair checks.
 
-A chunk is sieved in windows whose width `primes.windows` works out from
-the chunk's top; its pairs are counted from the prime flags by
-`primes.count_flags`, and only the few pairs a check, a gap record or the
-extremal ratio can depend on are found by a zero-run search and run
-through `claims.check_pair`, which builds each one's record.  A
-`ChunkTally` adds them up.  Every other pair is settled by the lemma
-proved in `scan_chunk`, which tests pin against an every-pair reference
-scan.  Determinism contract: the final report never depends on worker
-count, scheduling, or chunking (task merges happen in range order).
+A chunk is sieved in windows whose width `primes.windows` works out from the
+chunk's top, and its pairs are counted from the prime flags by
+`primes.count_flags`.  Only the pairs a check, a gap record or the extremal
+ratio can depend on are found, each by one search for a zero run and the
+prime flag closing it, and go through `claims.check_pair`, which builds each
+one's record.  A `ChunkTally` adds them up.  The lemma proved in `scan_chunk`
+settles every other pair; tests pin it to an every-pair reference scan.
+Determinism contract: the final report never depends on worker count,
+scheduling, or chunking (merges go in range order).
 
 Reports are value objects that merge associatively, so a scan can be
 partitioned, checkpointed, and resumed without changing its result.
@@ -304,28 +304,28 @@ def scan_chunk(
     The pair at p = 2 has no integral midpoint, so it only sees the cubed
     gap bound; all other enabled checks count every pair.
 
-    Only a few pairs are evaluated, by `ChunkTally.evaluate` through
-    `check_pair`, which builds the pair's record: the pair at p = 2, the
-    pair crossing each sieve window's end (the last one takes its successor
-    from `next_prime_above`), and every pair whose gap g exceeds
+    Only a few pairs are evaluated, by `ChunkTally.evaluate`: the pair
+    crossing each sieve window's end (`primes.windows` gives 2, which has no
+    sieve flag, a one-flag window of its own; the last pair takes its
+    successor from `next_prime_above`), and every pair whose gap g exceeds
     `ChunkTally.threshold`'s t, for P the prime the search starts from and
     (p_r, g_r) the last gap record so far: t = min(g_r, isqrt(8P - 1)) if
     p_r < P, else 0.  Take a pair with p >= P > p_r and g <= t.  It sets no
     gap record, as g <= g_r, and g**2 <= 8P - 1 < 8p.  Nor does it beat the
     best ratio R so far (`RatioRecord.beats` is strict): g**3 / p**2 <=
     g_r**3 / p**2 < g_r**3 / p_r**2 <= R, as the record pair itself went
-    through `ChunkTally._ratio`.  Genuine pairs are evaluated in p order,
-    so p_r >= P only before the first gap record, where t = 0 as well.
+    through `ChunkTally._ratio`.  Genuine pairs are evaluated in p order, so
+    p_r >= P only before the first gap record, where t = 0 as well.
 
-    2 has no sieve flag; `primes.windows` yields it in a one-flag window of
-    its own, so it opens the chunk's first pair, (2, 3), which is evaluated
-    like a window-crossing pair (or as the last pair when hi = 3).  Odd
-    primes p < q sit g / 2 flags apart, with g / 2 - 1 zero flags between
-    them, and g is even, so g > t exactly when g >= 2 * (t >> 1) + 2, that
-    is, when g / 2 - 1 >= t >> 1.  The first run of t >> 1 zero flags past
-    P's flag therefore starts right after the first prime at or past P
-    whose gap exceeds t, and the zero-run search finds exactly the pairs to
-    evaluate.
+    Odd primes p < q sit g / 2 flags apart, g / 2 - 1 zeros between them,
+    and g is even, so g > t exactly when g / 2 - 1 >= r = t >> 1 (odd t
+    from crafted pairs too).  The search finds r zeros and a 1 in flags
+    i + 1 to last, i being P's flag.  A match z ends at a prime's flag
+    j = z + r in (i, last] after r or more zeros, and each such j matches
+    at j - r > i, which grows with j: the leftmost match closes the first
+    pair at or past P with g > t.  Its p is the last 1 in [i, z), not z - 1
+    if the run exceeds r.  As j <= last, `prev` keeps the window-crossing
+    pair.  For r = 0 the needle is a lone 1, matching every prime past P.
 
     Lemma: for odd p < q with g = q - p, b = g / 2 and g**2 < 8p, every
     check passes, and COR_PRODUCT vacuously.  b**2 = g**2 / 4 < 2p < 2q,
@@ -357,11 +357,11 @@ def scan_chunk(
         # i indexes the prime P whose pair is the next one undecided.
         while True:
             run = tally.threshold(base + 2 * i) >> 1
-            z = flags.find(bytes(run), i + 1, last)
+            z = flags.find(bytes(run) + b"\x01", i + 1, last + 1)
             if z < 0:
                 break
-            i = flags.find(1, z + run)
-            tally.evaluate(base + 2 * (z - 1), base + 2 * i)
+            tally.evaluate(base + 2 * flags.rfind(1, i, z), base + 2 * (z + run))
+            i = z + run
         prev = base + 2 * last
     if prev is not None:
         tally.evaluate(prev, primes.next_prime_above(prev))

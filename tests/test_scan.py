@@ -296,6 +296,75 @@ class TestKnownAnswerAtHeight:
         assert not any(map(is_prime, range(p + 1, p + g)))
 
 
+def logged_scan(monkeypatch, lo: int, hi: int) -> tuple[ScanReport, list[tuple]]:
+    """scan_chunk(lo, hi) and its tally's log, in order: ("t", t) for each
+    threshold a search starts with, ("e", p, q) for each evaluated pair."""
+    log: list[tuple] = []
+
+    class LoggedTally(ChunkTally):
+        def threshold(self, p):
+            t = super().threshold(p)
+            log.append(("t", t))
+            return t
+
+        def evaluate(self, p, q):
+            log.append(("e", p, q))
+            super().evaluate(p, q)
+
+    monkeypatch.setattr(gapscan.scan, "ChunkTally", LoggedTally)
+    return scan_chunk(lo, hi), log
+
+
+class TestZeroRunSearch:
+    """The edges of scan_chunk's search for r zero flags and the prime flag
+    that closes them."""
+
+    def test_record_closed_by_a_windows_last_prime(self, monkeypatch):
+        # Windows of 7867 numbers from 2 end at 31470, so the gap record of
+        # 72 at 31397 is closed by its window's last flagged prime.
+        monkeypatch.setattr(gapscan.primes, "MAX_WINDOW", 7867)
+        lasts = [b + 2 * f.rfind(1) for b, f in gapscan.primes.windows(2, 40000)]
+        assert 31397 + 72 in lasts
+        report, log = logged_scan(monkeypatch, 2, 40000)
+        assert ("e", 31397, 31469) in log
+        assert GapRecord(31397, 72) in report.gap_records
+        assert report == reference_scan(2, 40000)
+
+    def test_p_is_found_before_a_run_longer_than_searched(self, monkeypatch):
+        # The record gap of 34 at 1327 has 16 zero flags; the search that
+        # finds it looks for fewer, so p lies before the matched zeros.
+        report, log = logged_scan(monkeypatch, 1200, 1400)
+        k = log.index(("e", 1327, 1361))
+        t = next(entry[1] for entry in reversed(log[:k]) if entry[0] == "t")
+        assert 0 < t >> 1 < 34 // 2 - 1
+        assert report == reference_scan(1200, 1400)
+
+    @pytest.mark.parametrize("width", [16, 1 << 20])
+    def test_every_pair_until_the_first_record_at_height(self, monkeypatch, width):
+        # Above 10**12 no gap record is known when the range starts, so the
+        # first search looks for a lone 1.
+        lo = 10**12
+        monkeypatch.setattr(gapscan.primes, "MAX_WINDOW", width)
+        report, log = logged_scan(monkeypatch, lo, lo + 3000)
+        assert log[0] == ("t", 0)
+        assert log[1][:2] == ("e", gapscan.primes.next_prime_above(lo - 1))
+        assert report == reference_scan(lo, lo + 3000)
+
+    def test_evaluated_pairs_below_ten_million(self, monkeypatch):
+        # A search that evaluates extra pairs stays correct but slow.
+        calls = []
+        evaluate = ChunkTally.evaluate
+
+        def counted(self, p, q):
+            calls.append((p, q))
+            evaluate(self, p, q)
+
+        monkeypatch.setattr(ChunkTally, "evaluate", counted)
+        report = run_scan(ScanConfig(2, 10**7, workers=1))
+        assert len(calls) == 32
+        assert report.gap_records[-1] == GapRecord(4652353, 154)
+
+
 class TestInjection:
     """Failure paths, reached by feeding crafted non-genuine pairs."""
 
