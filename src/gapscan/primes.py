@@ -146,7 +146,8 @@ def sieve_range(lo: int, hi: int) -> bytearray:
     ``flags[i]`` is 1 exactly when ``(lo | 1) + 2*i`` is prime, one byte per
     odd number, so ``len(flags)`` is the count of odd numbers in [lo, hi)
     (0 for [2, 3)).  2 has no flag: `windows` yields it in a window of its
-    own.  The range must fit in one allocation (width hi - lo <=
+    own.  The range must end by SCAN_LIMIT + MAX_SIEVE_WIDTH, so at most
+    pi(10**8) base primes are grown, and fit in one allocation (width hi - lo <=
     MAX_SIEVE_WIDTH numbers); walk big ranges with `windows`.
 
     The flags start as one period of `_PATTERN` from index
@@ -188,8 +189,8 @@ def sieve_range(lo: int, hi: int) -> bytearray:
     """
     if lo >= hi:
         raise ValueError(f"empty or reversed range [{lo}, {hi})")
-    if lo < 0 or hi > UNIVERSE_LIMIT:
-        raise ValueError(f"range [{lo}, {hi}) leaves [0, 2**63]")
+    if lo < 0 or hi > SCAN_LIMIT + MAX_SIEVE_WIDTH:
+        raise ValueError(f"range [{lo}, {hi}) leaves [0, 10**16 + 2**28]")
     width = hi - lo
     if width > MAX_SIEVE_WIDTH:
         raise ValueError(

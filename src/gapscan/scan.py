@@ -13,8 +13,8 @@ scheduling, or chunking (merges go in range order).
 
 Reports are value objects that merge associatively, so a scan can be
 partitioned, checkpointed, and resumed without changing its result.
-`merge_reports` adds both reports to one `ChunkTally`, so each rule that
-combines results is written once, for pairs and reports alike.
+`merge_reports` adds both reports to one `ChunkTally`, whose `join` is the
+one rule that combines results, for pairs and reports alike.
 """
 
 from __future__ import annotations
@@ -107,7 +107,7 @@ class ClaimCounter:
 
 
 # The column of a ChunkTally row that an outcome's status counts in.
-_COLUMN = {Status.PASS: 1, Status.VACUOUS_PASS: 2, Status.FAIL: 3}
+_COLUMN = {Status.PASS: 0, Status.VACUOUS_PASS: 1, Status.FAIL: 2}
 
 
 @dataclass(frozen=True)
@@ -177,14 +177,14 @@ def plan_chunks(config: ScanConfig) -> Iterator[tuple[int, int]]:
 class ChunkTally:
     """What a range's `pairs` add up to, pair by pair or report by report:
     `evaluate` settles a pair that `scan_chunk`'s lemma cannot, `add` a
-    later range's report, and `report` the pairs not yet `settled`, by the
-    lemma.  `rows[i]` is [checked, passed, vacuous, failed] for `claims[i]`,
-    the enabled claims in PAIR_CLAIMS order."""
+    later range's report, both through `join`, and `report` the pairs not
+    yet `settled`, by the lemma.  `rows[i]` is [passed, vacuous, failed]
+    for `claims[i]`, the enabled claims in PAIR_CLAIMS order."""
 
     def __init__(self, claims: Iterable[ClaimId], violation_cap: int) -> None:
         enabled = frozenset(claims)
         self.claims = tuple(c for c in PAIR_CLAIMS if c in enabled)
-        self.rows = [[0, 0, 0, 0] for _ in self.claims]
+        self.rows = [[0, 0, 0] for _ in self.claims]
         self.violation_cap = violation_cap
         self.pairs = 0
         self.settled = 0
@@ -194,37 +194,27 @@ class ChunkTally:
         self.best_gap = 0
         self.best: RatioRecord | None = None
 
-    def _gaps(self, records: list[GapRecord]) -> None:
-        """Keep each record whose gap exceeds every gap before it."""
-        for record in records:
+    def join(self, gaps: Iterable[GapRecord], ratio: RatioRecord | None,
+             violations: list[ClaimOutcome], histogram: dict[int, int]) -> None:
+        """Join a later pair or range: its gap records past the best gap, its
+        ratio if it beats the best, its violations up to the cap, its bins."""
+        for record in gaps:
             if record.g > self.best_gap:
                 self.best_gap = record.g
                 self.gap_records.append(record)
-
-    def _ratio(self, ratio: RatioRecord) -> None:
-        """Keep the first ratio that no later one beats."""
-        if self.best is None or ratio.beats(self.best):
+        if ratio is not None and (self.best is None or ratio.beats(self.best)):
             self.best = ratio
-
-    def _keep(self, violations: list[ClaimOutcome]) -> None:
-        """Keep violations, in p order, up to the cap."""
         self.violations += violations[: self.violation_cap - len(self.violations)]
-
-    def _count(self, c_lo: int, n: int) -> None:
-        """Add n pairs to the histogram's c_lo bin."""
-        self.histogram[c_lo] = self.histogram.get(c_lo, 0) + n
+        for c_lo, n in histogram.items():
+            self.histogram[c_lo] = self.histogram.get(c_lo, 0) + n
 
     def evaluate(self, p: int, q: int) -> None:
         """Run the pair (p, q) through `check_pair` and settle it; an
         IDENTITIES failure is an arithmetic bug, never a finding, and aborts
         the scan with a RuntimeError."""
         self.settled += 1
-        g = q - p
-        self._gaps([GapRecord(p, g)])
-        self._ratio(RatioRecord(g_cubed=g * g * g, p_squared=p * p, p=p, g=g))
         record, outcomes = check_pair(p, q, self.claims)
-        if record is not None:
-            self._count(record.c_lo, 1)
+        failures = []
         for outcome in outcomes:
             if outcome.status is Status.FAIL:
                 if outcome.claim is ClaimId.IDENTITIES:
@@ -232,28 +222,24 @@ class ChunkTally:
                         f"identity failed at pair ({p}, {q}): "
                         f"lhs={outcome.lhs} rhs={outcome.rhs}"
                     )
-                self._keep([outcome])
-            row = self.rows[self.claims.index(outcome.claim)]
-            row[0] += 1
-            row[_COLUMN[outcome.status]] += 1
+                failures.append(outcome)
+            self.rows[self.claims.index(outcome.claim)][_COLUMN[outcome.status]] += 1
+        g = q - p
+        bins = {} if record is None else {record.c_lo: 1}
+        self.join([GapRecord(p, g)], RatioRecord(g**3, p * p, p, g), failures, bins)
 
     def add(self, report: ScanReport) -> None:
         """Take in the report of a range after every pair so far; each of
         its claims must be enabled here."""
         self.pairs += report.pairs_checked
         self.settled += report.pairs_checked
-        self._gaps(report.gap_records)
-        if report.max_ratio is not None:
-            self._ratio(report.max_ratio)
-        self._keep(report.violations)
-        for c_lo, n in report.c_histogram.items():
-            self._count(c_lo, n)
+        self.join(report.gap_records, report.max_ratio, report.violations,
+                  report.c_histogram)
         for claim, counter in report.per_claim.items():
             row = self.rows[self.claims.index(claim)]
-            row[0] += counter.checked
-            row[1] += counter.passed
-            row[2] += counter.vacuous
-            row[3] += counter.failed
+            row[0] += counter.passed
+            row[1] += counter.vacuous
+            row[2] += counter.failed
 
     def threshold(self, p: int) -> int:
         """The t of `scan_chunk`'s lemma for a search starting at the prime
@@ -271,13 +257,13 @@ class ChunkTally:
         if discharged:
             histogram = {**histogram, 0: histogram.get(0, 0) + discharged}
         per_claim = {}
-        for claim, (checked, passed, vacuous, failed) in zip(self.claims, self.rows):
+        for claim, (passed, vacuous, failed) in zip(self.claims, self.rows):
             if claim is ClaimId.COR_PRODUCT:
                 vacuous += discharged
             else:
                 passed += discharged
             per_claim[claim] = ClaimCounter(
-                checked + discharged, passed, vacuous, failed
+                passed + vacuous + failed, passed, vacuous, failed
             )
         return ScanReport(
             start=lo,
@@ -314,7 +300,7 @@ def scan_chunk(
     gap record, as g <= g_r, and g**2 <= 8P - 1 < 8p.  Nor does it beat the
     best ratio R so far (`RatioRecord.beats` is strict): g**3 / p**2 <=
     g_r**3 / p**2 < g_r**3 / p_r**2 <= R, as the record pair itself went
-    through `ChunkTally._ratio`.  Genuine pairs are evaluated in p order, so
+    through `ChunkTally.join`.  Genuine pairs are evaluated in p order, so
     p_r >= P only before the first gap record, where t = 0 as well.
 
     Odd primes p < q sit g / 2 flags apart, g / 2 - 1 zeros between them,
@@ -482,11 +468,14 @@ def run_scan(
     memory does not grow with their count.
 
     A task is k = max(1, primes.window_width(stop) // chunk_size)
-    consecutive grid chunks, scanned by one `scan_chunk` walk, so it fits
-    in one rule window and pays the base-prime loop once.  With more than
-    one worker, k is also at most chunks // (4 * workers), chunks being
-    those this call scans: at least 4 tasks per worker where there are
-    that many chunks.  Tasks start at the resume point; merges,
+    consecutive grid chunks, scanned by one `scan_chunk` walk, so it is at
+    most one rule window at stop wide; the walk sizes its windows by the
+    task's own top, so a lower task may walk several narrower ones (the
+    first task of [2, 10**10) in chunks of 2**16 walks 13 of 2**20).  With
+    more than one worker, k is also at most chunks // (4 * workers), chunks
+    being those this call scans: at least 4 tasks per worker where there
+    are that many chunks.  Tasks start at the resume point, from the
+    checkpoint's report or the zero-width report of start; merges,
     checkpoints and `progress` go task by task.
 
     `progress` is called as progress(done, total, task) after each merge,
@@ -501,10 +490,12 @@ def run_scan(
     config.validate()
     digest = config.digest()
 
-    partial: ScanReport | None = None
+    partial = ChunkTally(config.claims, config.violation_cap).report(
+        config.start, config.start, 0
+    )
     if config.checkpoint_path and os.path.exists(config.checkpoint_path):
         partial = resumed_report(load_checkpoint(config.checkpoint_path), config)
-    resume = config.start if partial is None else partial.stop
+    resume = partial.stop
 
     size = config.chunk_size
     end = config.stop
@@ -524,7 +515,7 @@ def run_scan(
     with (get_context().Pool(workers) if workers > 1 else nullcontext()) as pool:
         fan_out = map if pool is None else pool.imap
         for report in fan_out(_scan_chunk_task, tasks):
-            partial = report if partial is None else merge_reports(partial, report)
+            partial = merge_reports(partial, report)
             if config.checkpoint_path and (
                 report.stop == end
                 or time.monotonic() - last_save >= CHECKPOINT_INTERVAL_S
@@ -534,6 +525,4 @@ def run_scan(
             if progress is not None:
                 done = len(range(config.start, report.stop, size))
                 progress(done, total, (report.start, report.stop))
-
-    assert partial is not None  # plan is never empty for a validated config
     return partial

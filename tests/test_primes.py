@@ -41,6 +41,7 @@ from conftest import (
     oracle_consecutive_pairs,
     oracle_count_primes_below,
     oracle_primes_below,
+    run_capped,
     sieved_is_prime,
     stream_consecutive_pairs,
     trial_division_is_prime,
@@ -118,8 +119,29 @@ class TestSieveRange:
             sieve_range(30, 10)
 
     def test_rejects_universe_escape(self):
-        with pytest.raises(ValueError, match=r"\) leaves \[0, 2\*\*63\]$"):
+        with pytest.raises(
+            ValueError, match=r"\) leaves \[0, 10\*\*16 \+ 2\*\*28\]$"
+        ):
             sieve_range(2**63 - 10, 2**63 + 10)
+
+    def test_refuses_stops_past_the_scan_limit_before_growing(self):
+        # Near 2**63 the base primes alone outgrow the 1 GiB cap, so a
+        # sieve that grew them first would die of MemoryError.
+        code, err = run_capped(
+            "from gapscan.primes import MAX_SIEVE_WIDTH, SCAN_LIMIT, sieve_range\n"
+            "top = SCAN_LIMIT + MAX_SIEVE_WIDTH\n"
+            "for lo, hi in [(2**63 - 100, 2**63), (top - 1, top + 1)]:\n"
+            "    try:\n"
+            "        sieve_range(lo, hi)\n"
+            "    except ValueError as exc:\n"
+            "        assert str(exc).endswith('leaves [0, 10**16 + 2**28]'), exc\n"
+            "    else:\n"
+            "        raise AssertionError('the range was not refused')\n"
+            "import gapscan.primes\n"
+            "assert gapscan.primes._base_limit == 13\n",
+            limit_mib=1024,
+        )
+        assert code == 0, err
 
     def test_rejects_oversized_allocation(self):
         with pytest.raises(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import multiprocessing
@@ -611,8 +612,11 @@ def _json_paths(node, prefix=()):
         yield from _json_paths(child, prefix + (key,))
 
 
-def _valid_checkpoint() -> dict:
-    """A checkpoint document with every kind of report field filled in."""
+@functools.cache
+def valid_checkpoint() -> dict:
+    """A checkpoint document with every kind of report field filled in,
+    built on first use, so a scan_chunk that raises fails the tests that
+    read it, not the module's collection.  Copy it before changing it."""
     partial = full_scan(2, 1024)
     partial.violations.append(ClaimOutcome(ClaimId.COR_PRODUCT, 3, Status.FAIL, -6, 12))
     partial.c_histogram[1] = 1
@@ -623,9 +627,10 @@ def _valid_checkpoint() -> dict:
     }
 
 
-VALID_CHECKPOINT = _valid_checkpoint()
 GOLDEN_CHECKPOINT = Path(__file__).parent / "golden" / "checkpoint-2-5000-1024.json"
-CHECKPOINT_PATHS = list(_json_paths(VALID_CHECKPOINT))
+checkpoint_paths = st.deferred(
+    lambda: st.sampled_from(list(_json_paths(valid_checkpoint())))
+)
 
 # Everything Python's json module reads, NaN and Infinity included.
 json_values = st.recursive(
@@ -637,14 +642,14 @@ json_values = st.recursive(
 
 
 class TestCheckpoint:
-    @given(where=st.sampled_from(CHECKPOINT_PATHS), value=json_values)
+    @given(where=checkpoint_paths, value=json_values)
     @settings(
         max_examples=400,
         deadline=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     def test_any_swapped_field_loads_or_is_rejected(self, tmp_path, where, value):
-        document = json.loads(json.dumps(VALID_CHECKPOINT))
+        document = json.loads(json.dumps(valid_checkpoint()))
         node = document
         for key in where[:-1]:
             node = node[key]
