@@ -11,10 +11,10 @@ settles every other pair; tests pin it to an every-pair reference scan.
 Determinism contract: the final report never depends on worker count,
 scheduling, or chunking (merges go in range order).
 
-Reports are value objects that merge associatively, so a scan can be
-partitioned, checkpointed, and resumed without changing its result.
-`merge_reports` adds both reports to one `ChunkTally`, whose `join` is the
-one rule that combines results, for pairs and reports alike.
+Reports merge associatively, end to end, of one claim set and one cap,
+so a scan can be partitioned, checkpointed, and resumed without changing
+its result.  `merge_reports` adds both reports to one `ChunkTally`, whose
+`join` is the one rule that combines results, for pairs and reports alike.
 """
 
 from __future__ import annotations
@@ -229,8 +229,7 @@ class ChunkTally:
         self.join([GapRecord(p, g)], RatioRecord(g**3, p * p, p, g), failures, bins)
 
     def add(self, report: ScanReport) -> None:
-        """Take in the report of a range after every pair so far; each of
-        its claims must be enabled here."""
+        """Take in the report of the range after every pair so far."""
         self.pairs += report.pairs_checked
         self.settled += report.pairs_checked
         self.join(report.gap_records, report.max_ratio, report.violations,
@@ -355,19 +354,20 @@ def scan_chunk(
 
 
 def merge_reports(a: ScanReport, b: ScanReport) -> ScanReport:
-    """Combine two reports over adjacent or disjoint ranges (a before b) by
-    adding both, in order, to one `ChunkTally`, so every rule that joins
-    two ranges is the one that joins two pairs.
+    """Combine the reports of ranges that meet end to end (a then b), of
+    one claim set and one violation cap (else ValueError), adding both in
+    order to one `ChunkTally`, so two ranges join by the rule of two pairs.
 
     Associative; the zero-width report is the identity.
     """
-    if a.stop > b.start:
+    if (a.stop, a.violation_cap, a.per_claim.keys()) != (
+        b.start, b.violation_cap, b.per_claim.keys()
+    ):
         raise ValueError(
-            f"[{a.start}, {a.stop}) must lie entirely before [{b.start}, {b.stop})"
+            f"cannot merge [{a.start}, {a.stop}) with [{b.start}, {b.stop}): "
+            "reports merge end to end, of one claim set and one violation cap"
         )
-    if a.violation_cap != b.violation_cap:
-        raise ValueError("cannot merge reports with different violation caps")
-    tally = ChunkTally({**a.per_claim, **b.per_claim}, a.violation_cap)
+    tally = ChunkTally(a.per_claim, a.violation_cap)
     tally.add(a)
     tally.add(b)
     return tally.report(a.start, b.stop, a.elapsed_ns + b.elapsed_ns)
@@ -401,13 +401,14 @@ def load_checkpoint(path: str) -> CheckpointState:
     """Read a checkpoint that `save_checkpoint` wrote.  A file that cannot
     be decoded, or whose partial report no longer matches its stored hash,
     is corrupt: a RuntimeError.  Files without the hash still load.  Another
-    version is a ValueError, raised outside the decode guards.  Other keys,
-    such as the chunk list `completed` of older files, are ignored;
-    `resumed_report` checks the state against a scan's config."""
+    version is a ValueError, and a file that cannot be opened or read an
+    OSError, both raised outside the decode guards.  Other keys, such as
+    the chunk list `completed` of older files, are ignored; `resumed_report`
+    checks the state against a scan's config."""
     try:
         with open(path, encoding="utf-8") as fh:
             document = json.load(fh)
-    except (OSError, RecursionError, ValueError) as exc:
+    except (RecursionError, ValueError) as exc:
         raise RuntimeError(f"unreadable checkpoint {path}: {exc}") from exc
     malformed = (AttributeError, KeyError, OverflowError, TypeError, ValueError)
     try:
@@ -434,17 +435,16 @@ def resumed_report(state: CheckpointState, config: ScanConfig) -> ScanReport:
     """The partial report a scan of `config` resumes from.  The state must
     come from a scan of `config` (else ValueError), and its report must
     cover [start, b), b a chunk boundary inside the range or stop itself,
-    under the config's violation cap (else RuntimeError)."""
+    under the config's violation cap and claim set (else RuntimeError)."""
     if state.config_digest != config.digest():
         raise ValueError(
             "checkpoint was written by a different scan configuration"
         )
     partial = state.partial
     inner = range(config.start + config.chunk_size, config.stop, config.chunk_size)
-    if (
-        (partial.start, partial.violation_cap) != (config.start, config.violation_cap)
-        or partial.stop != config.stop and partial.stop not in inner
-    ):
+    if (partial.start, partial.violation_cap, frozenset(partial.per_claim)) != (
+        config.start, config.violation_cap, frozenset(config.claims)
+    ) or partial.stop != config.stop and partial.stop not in inner:
         raise RuntimeError(
             f"checkpoint report over [{partial.start}, {partial.stop}) with "
             f"violation cap {partial.violation_cap} is no prefix of this scan"

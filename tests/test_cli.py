@@ -19,6 +19,10 @@ def invoke(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# A parameter value that deletes the key it would otherwise set.
+DELETE = object()
+
+
 def write_checkpoint(tmp_path, halt: int | None):
     """The checkpoint of a scan of [2, 5000) in chunks of 1024, halted after
     `halt` chunks, or finished when halt is None."""
@@ -363,30 +367,47 @@ class TestExitCodeFidelity:
             (("partial", "range", 1), "2000", 2, "no prefix"),
             (("partial", "violation_cap"), "5", 2, "no prefix"),
             (("partial", "violation_cap"), "5", None, "no prefix"),
+            (("partial", "per_claim", "LEMMA_SQRT"), DELETE, 2, "no prefix"),
+            (("partial", "per_claim", "LEMMA_SQRT"), DELETE, None, "no prefix"),
         ],
         ids=["partial-None", "start-moved", "stop-off-grid", "cap-halted",
-             "cap-finished"],
+             "cap-finished", "claims-dropped-halted", "claims-dropped-finished"],
     )
     def test_partial_disagreeing_with_completed_exits_three(
         self, capsys, tmp_path, path, value, halt, message
     ):
         # The partial report must cover the plan's first chunks, here
         # [2, 2050) after a halt or [2, 5000) when finished, under the
-        # scan's violation cap.  Without its hash, as in files written
-        # before the hash was stored, an edit reaches that check.
+        # scan's violation cap and claim set.  Without its hash, as in files
+        # written before the hash was stored, an edit reaches that check.
         ckpt = write_checkpoint(tmp_path, halt)
         document = json.loads(ckpt.read_text())
         del document["partial_sha256"]
         node = document
         for key in path[:-1]:
             node = node[key]
-        node[path[-1]] = value
+        if value is DELETE:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = value
         ckpt.write_text(json.dumps(document))
         code, out, err = invoke(capsys, *resume_args(ckpt))
         assert code == 3
         assert out == ""
         assert "internal error" in err
         assert message in err
+
+    def test_unopenable_checkpoint_exits_three(self, capsys, tmp_path):
+        # A directory exists, so the scan tries to resume from it; opening
+        # it is an OSError, which keeps its own message.
+        code, out, err = invoke(
+            capsys, "scan", "--from", "2", "--to", "1000", "--jobs", "1",
+            "--checkpoint", str(tmp_path),
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ")
+        assert str(tmp_path) in err
 
     @pytest.mark.parametrize(
         "key, value, halt",

@@ -555,7 +555,8 @@ class TestTracedNames:
             assert hasattr(gapscan, name), f"gapscan.{name}"
 
     def test_readme_tour_runs_as_written(self):
-        # Its scan starts 4 workers on one 2**24-number chunk.
+        # Its scan asks for 4 workers but plans one 2**24-number chunk, so
+        # it runs in process: run_scan opens no pool for one chunk.
         exec(compile(readme_tour(), "README.md", "exec"), {})
 
     @pytest.mark.parametrize("n", [1, 2, 500, 1000, 3000])

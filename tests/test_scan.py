@@ -56,6 +56,14 @@ def full_scan(lo: int, hi: int, **kwargs) -> ScanReport:
     return scan_chunk(lo, hi, **kwargs)
 
 
+def refusal(a: ScanReport, b: ScanReport) -> str:
+    """The pattern of the message `merge_reports(a, b)` refuses them with."""
+    return re.escape(
+        f"cannot merge [{a.start}, {a.stop}) with [{b.start}, {b.stop}): "
+        "reports merge end to end, of one claim set and one violation cap"
+    )
+
+
 def empty_report(lo: int, hi: int) -> ScanReport:
     """The report of a range that owns no pair, from a tally that saw none."""
     return ChunkTally(PAIR_CLAIMS, DEFAULT_VIOLATION_CAP).report(lo, hi, 0)
@@ -499,30 +507,32 @@ class TestMergeReports:
             (2, 1), (3, 2), (7, 4), (23, 6), (89, 8), (113, 14),
         ]
 
-    def test_reports_with_different_claims_merge_to_their_union(self):
+    def test_reports_with_different_claims_are_refused(self):
+        # A union would count some claims over [2, 5000) alone and others
+        # over [5000, 10**4) alone, under one range.  A superset of a's
+        # claims is refused too.
         a = full_scan(2, 5000, claims={ClaimId.LEMMA_SQRT})
-        b = full_scan(
-            5000, 10**4, claims={ClaimId.THEOREM_CUBE_BOUND, ClaimId.COR_PRODUCT}
-        )
+        for other in (ClaimId.THEOREM_CUBE_BOUND, ClaimId.LEMMA_SQRT):
+            b = full_scan(5000, 10**4, claims={other, ClaimId.COR_PRODUCT})
+            with pytest.raises(ValueError, match=refusal(a, b)):
+                merge_reports(a, b)
+        # The same claim set on both sides merges to the scan of the union.
+        b = full_scan(5000, 10**4, claims={ClaimId.LEMMA_SQRT})
         merged = merge_reports(a, b)
-        assert set(merged.per_claim) == {
-            ClaimId.LEMMA_SQRT, ClaimId.THEOREM_CUBE_BOUND, ClaimId.COR_PRODUCT
-        }
-        for side in (a, b):
-            for claim, counter in side.per_claim.items():
-                assert merged.per_claim[claim] == counter, claim
+        assert merged == full_scan(2, 10**4, claims={ClaimId.LEMMA_SQRT})
+        assert set(merged.per_claim) == {ClaimId.LEMMA_SQRT}
         assert merged.pairs_checked == a.pairs_checked + b.pairs_checked
         assert merged.gap_records == full_scan(2, 10**4).gap_records
         assert merged.max_ratio == full_scan(2, 10**4).max_ratio
 
     def test_violations_past_the_cap_keep_the_first_in_p_order(self, crafted_pairs):
-        # Every fed pair fails several claims; [90, 96) and [114, 127) hold
+        # Every fed pair fails several claims; [90, 96) and [96, 97) hold
         # no prime, so each report sees its fed pairs alone.
         cap = 7
         crafted_pairs((3, 9), (5, 15))
         a = full_scan(90, 96, violation_cap=cap)
         crafted_pairs((7, 21), (11, 33))
-        b = full_scan(114, 127, violation_cap=cap)
+        b = full_scan(96, 97, violation_cap=cap)
         assert len(a.violations) < cap < len(a.violations) + len(b.violations)
         merged = merge_reports(a, b)
         assert merged.violations == (a.violations + b.violations)[:cap]
@@ -538,21 +548,43 @@ class TestMergeReports:
 
     def test_rejects_overlap(self):
         with pytest.raises(
-            ValueError, match=r"\[2, 60\) must lie entirely before \[50, 100\)"
+            ValueError,
+            match=r"^cannot merge \[2, 60\) with \[50, 100\): reports merge end "
+            r"to end, of one claim set and one violation cap$",
         ):
             merge_reports(full_scan(2, 60), full_scan(50, 100))
+
+    def test_rejects_gap(self):
+        # Merged, the two would claim [2, 1001000) from 243 of its 78,573
+        # pairs, and a last gap record of (1000457, 50), not (492113, 114).
+        a, b = full_scan(2, 1000), full_scan(10**6, 10**6 + 1000)
+        with pytest.raises(ValueError, match=refusal(a, b)):
+            merge_reports(a, b)
 
     def test_rejects_different_violation_caps(self):
         a = full_scan(2, 50, violation_cap=3)
         b = full_scan(50, 100, violation_cap=4)
-        with pytest.raises(ValueError, match="different violation caps"):
+        with pytest.raises(ValueError, match=refusal(a, b)):
             merge_reports(a, b)
 
     def test_rejects_reversed_order(self):
-        with pytest.raises(
-            ValueError, match=r"\[50, 100\) must lie entirely before \[2, 50\)"
-        ):
-            merge_reports(full_scan(50, 100), full_scan(2, 50))
+        a, b = full_scan(50, 100), full_scan(2, 50)
+        with pytest.raises(ValueError, match=refusal(a, b)):
+            merge_reports(a, b)
+
+    @given(
+        x=st.integers(min_value=3, max_value=3000),
+        y=st.integers(min_value=3, max_value=3000),
+    )
+    @settings(max_examples=25, deadline=None)
+    @example(x=1000, y=1000)
+    def test_merges_only_where_the_ranges_meet(self, x, y):
+        a, b = full_scan(2, x), full_scan(y, 3100)
+        if x != y:
+            with pytest.raises(ValueError, match=refusal(a, b)):
+                merge_reports(a, b)
+        else:
+            assert merge_reports(a, b) == full_scan(2, 3100)
 
     @given(
         cut1=st.integers(min_value=3, max_value=3000),
