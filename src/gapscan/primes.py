@@ -19,7 +19,7 @@ One rule, `window_width(hi)`, sets how wide the windows of a range ending
 at hi are: 128 * isqrt(hi - 1) numbers, clamped to [SEGMENT_WIDTH,
 MAX_WINDOW], and `windows` cuts the last one at hi.  The one loop over
 the base primes that each window pays thus stays small beside its width
-at any height.
+at any height.  One `sieve_range` call sieves at most one such window.
 
 The base primes that the windows strike with come from the same window
 sieve: one ordered list, grown in place in steps of at most
@@ -49,13 +49,9 @@ UNIVERSE_LIMIT = 1 << 63
 SCAN_LIMIT = 10**16
 
 # The narrowest and the widest window `window_width` picks, in numbers
-# (512 KiB and 32 MiB of flags).
+# (512 KiB and 32 MiB of flags); `sieve_range` takes at most MAX_WINDOW.
 SEGMENT_WIDTH = 1 << 20
 MAX_WINDOW = 1 << 26
-
-# Hard cap on the width of one sieve_range call, in numbers (128 MiB of
-# flags).
-MAX_SIEVE_WIDTH = 1 << 28
 
 # The primes `is_prime` tries as divisors before its Miller-Rabin rounds.
 _TRIAL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -146,9 +142,9 @@ def sieve_range(lo: int, hi: int) -> bytearray:
     ``flags[i]`` is 1 exactly when ``(lo | 1) + 2*i`` is prime, one byte per
     odd number, so ``len(flags)`` is the count of odd numbers in [lo, hi)
     (0 for [2, 3)).  2 has no flag: `windows` yields it in a window of its
-    own.  The range must end by SCAN_LIMIT + MAX_SIEVE_WIDTH, so at most
-    pi(10**8) base primes are grown, and fit in one allocation (width hi - lo <=
-    MAX_SIEVE_WIDTH numbers); walk big ranges with `windows`.
+    own.  It sieves one window at most: hi - lo <= MAX_WINDOW and
+    hi <= SCAN_LIMIT + MAX_WINDOW, whose isqrt is 10**8, else ValueError
+    before any base prime grows; walk big ranges with `windows`.
 
     The flags start as one period of `_PATTERN` from index
     (base >> 1) mod 15015, where base = lo | 1, repeated to length: every
@@ -189,12 +185,11 @@ def sieve_range(lo: int, hi: int) -> bytearray:
     """
     if lo >= hi:
         raise ValueError(f"empty or reversed range [{lo}, {hi})")
-    if lo < 0 or hi > SCAN_LIMIT + MAX_SIEVE_WIDTH:
-        raise ValueError(f"range [{lo}, {hi}) leaves [0, 10**16 + 2**28]")
-    width = hi - lo
-    if width > MAX_SIEVE_WIDTH:
+    if lo < 0 or hi > SCAN_LIMIT + MAX_WINDOW:
+        raise ValueError(f"range [{lo}, {hi}) leaves [0, 10**16 + 2**26]")
+    if hi - lo > MAX_WINDOW:
         raise ValueError(
-            f"width {width} exceeds {MAX_SIEVE_WIDTH}; chunk the range"
+            f"width {hi - lo} exceeds {MAX_WINDOW}; walk the range with windows"
         )
     return _sieve(lo, hi)
 

@@ -191,16 +191,16 @@ class ChunkTally:
         self.violations: list[ClaimOutcome] = []
         self.histogram: dict[int, int] = {}
         self.gap_records: list[GapRecord] = []
-        self.best_gap = 0
         self.best: RatioRecord | None = None
 
     def join(self, gaps: Iterable[GapRecord], ratio: RatioRecord | None,
              violations: list[ClaimOutcome], histogram: dict[int, int]) -> None:
         """Join a later pair or range: its gap records past the best gap, its
         ratio if it beats the best, its violations up to the cap, its bins."""
+        best_gap = self.gap_records[-1].g if self.gap_records else 0
         for record in gaps:
-            if record.g > self.best_gap:
-                self.best_gap = record.g
+            if record.g > best_gap:
+                best_gap = record.g
                 self.gap_records.append(record)
         if ratio is not None and (self.best is None or ratio.beats(self.best)):
             self.best = ratio
@@ -246,7 +246,7 @@ class ChunkTally:
         below p, else 0, so every pair is evaluated."""
         if not self.gap_records or self.gap_records[-1].p >= p:
             return 0
-        return min(self.best_gap, isqrt(8 * p - 1))
+        return min(self.gap_records[-1].g, isqrt(8 * p - 1))
 
     def report(self, lo: int, hi: int, elapsed_ns: int) -> ScanReport:
         """The report of [lo, hi): each pair not yet settled adds what
@@ -445,9 +445,11 @@ def resumed_report(state: CheckpointState, config: ScanConfig) -> ScanReport:
     if (partial.start, partial.violation_cap, frozenset(partial.per_claim)) != (
         config.start, config.violation_cap, frozenset(config.claims)
     ) or partial.stop != config.stop and partial.stop not in inner:
+        claims = ", ".join(sorted(c.value for c in partial.per_claim))
         raise RuntimeError(
             f"checkpoint report over [{partial.start}, {partial.stop}) with "
-            f"violation cap {partial.violation_cap} is no prefix of this scan"
+            f"violation cap {partial.violation_cap} and claims "
+            f"{claims or 'none'} is no prefix of this scan"
         )
     return partial
 

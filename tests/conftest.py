@@ -8,7 +8,9 @@ two sides is meaningful.  `oracle_consecutive_pairs` walks a range's pairs
 on that sieve, with the package's Miller-Rabin test only for the last
 successor; `reference_scan`, the plain every-pair scan that `scan_chunk`'s
 shortcut must equal, takes its pairs from it, and `make_pair` is the
-validated pair constructor the record tests build their pairs with.  The
+validated pair constructor the record tests build their pairs with.
+`oracle_prime_pi` counts primes with no sieve at all, so a count that a
+sieve gives, the package's or this one, has a check outside both.  The
 `crafted_pairs` fixture feeds chosen non-genuine pairs to the scan, which
 is how the failure and exit-code paths are reached: genuine consecutive
 primes never fail a claim.  `count_calls` records the ranges a wrapped
@@ -151,6 +153,33 @@ def oracle_primes_below(limit: int) -> list[int]:
 
 def oracle_count_primes_below(limit: int) -> int:
     return _oracle_flags(limit).count(1)
+
+
+def oracle_prime_pi(x: int) -> int:
+    """pi(x), the count of primes <= x, by Lucy_Hedgehog's method, which
+    sieves nothing: it keeps S(v), the count of the numbers in [2, v] not
+    yet struck, only at the values v = x // i, starting from v - 1.  Each
+    prime p <= isqrt(x), in order, strikes from each S(v) with v >= p*p the
+    numbers in [p*p, v] whose least prime factor is p: S(v // p) - S(p - 1)
+    of them.  p is prime exactly when S(p) > S(p - 1).  Exact, in
+    O(x**0.75) steps."""
+    if x < 2:
+        return 0
+    r = isqrt(x)
+    small = [max(v - 1, 0) for v in range(r + 1)]  # S(v)
+    large = [0] + [x // i - 1 for i in range(1, r + 1)]  # S(x // i) at i
+    for p in range(2, r + 1):
+        below = small[p - 1]
+        if small[p] == below:
+            continue  # p was struck: it is composite
+        square = p * p
+        # S(x // i // p) is large[i*p] while i*p <= r, else small[x // (i*p)].
+        for i in range(1, min(r, x // square) + 1):
+            d = i * p
+            large[i] -= (large[d] if d <= r else small[x // d]) - below
+        for v in range(r, square - 1, -1):
+            small[v] -= small[v // p] - below
+    return large[1]
 
 
 def oracle_consecutive_pairs(lo: int, hi: int) -> Iterator[tuple[int, int]]:

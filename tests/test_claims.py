@@ -23,9 +23,14 @@ from gapscan.claims import (
     check_theorem,
 )
 from gapscan.midpoint import MidpointRecord, PrimePair, compute_record
-from gapscan.primes import iter_consecutive_pairs, next_prime_above
+from gapscan.primes import next_prime_above
 
-from conftest import make_pair, run_capped, trial_division_primes
+from conftest import (
+    make_pair,
+    oracle_consecutive_pairs,
+    run_capped,
+    trial_division_primes,
+)
 
 
 def record_at(p: int, q: int) -> MidpointRecord:
@@ -53,7 +58,7 @@ class TestIdentities:
     def test_exhaustive_below_one_million(self):
         # Definitional soundness: every computed record passes.
         bad = 0
-        for p, q in iter_consecutive_pairs(3, 10**6):
+        for p, q in oracle_consecutive_pairs(3, 10**6):
             r = compute_record(PrimePair(p=p, q=q, g=q - p, m=(p + q) // 2, b=(q - p) // 2))
             if check_identities(r).status is not Status.PASS:
                 bad += 1
@@ -253,7 +258,7 @@ class TestDerivationChain:
     def test_ratio_and_sqrt_imply_theorem(self):
         # Mirrors the derivation the cubed bound rests on, as an empirical
         # implication over genuine records.
-        for p, q in iter_consecutive_pairs(3, 10**5):
+        for p, q in oracle_consecutive_pairs(3, 10**5):
             r = compute_record(PrimePair(p=p, q=q, g=q - p, m=(p + q) // 2, b=(q - p) // 2))
             if (
                 check_lemma_ratio(r).status is Status.PASS
@@ -326,7 +331,7 @@ class TestCubeInterval:
         # window).
         for n in range(17, 23):
             limit = (n + 1) ** 3
-            for p, q in iter_consecutive_pairs(2, limit):
+            for p, q in oracle_consecutive_pairs(2, limit):
                 assert check_theorem(p, q - p).status is Status.PASS
             assert check_cube_interval(n).status is Status.PASS
 

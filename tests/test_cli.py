@@ -360,21 +360,23 @@ class TestExitCodeFidelity:
         assert "internal error: unreadable checkpoint" in err
 
     @pytest.mark.parametrize(
-        "path, value, halt, message",
+        "path, value, halt, messages",
         [
-            (("partial",), None, 2, "malformed checkpoint"),
-            (("partial", "range", 0), "3", 2, "no prefix"),
-            (("partial", "range", 1), "2000", 2, "no prefix"),
-            (("partial", "violation_cap"), "5", 2, "no prefix"),
-            (("partial", "violation_cap"), "5", None, "no prefix"),
-            (("partial", "per_claim", "LEMMA_SQRT"), DELETE, 2, "no prefix"),
-            (("partial", "per_claim", "LEMMA_SQRT"), DELETE, None, "no prefix"),
+            (("partial",), None, 2, ["malformed checkpoint"]),
+            (("partial", "range", 0), "3", 2, ["no prefix"]),
+            (("partial", "range", 1), "2000", 2, ["no prefix"]),
+            (("partial", "violation_cap"), "5", 2, ["no prefix"]),
+            (("partial", "violation_cap"), "5", None, ["no prefix"]),
+            (("partial", "per_claim", "LEMMA_SQRT"), DELETE, 2,
+             ["LEMMA_ORDER", "no prefix"]),
+            (("partial", "per_claim", "LEMMA_SQRT"), DELETE, None,
+             ["LEMMA_ORDER", "no prefix"]),
         ],
         ids=["partial-None", "start-moved", "stop-off-grid", "cap-halted",
              "cap-finished", "claims-dropped-halted", "claims-dropped-finished"],
     )
     def test_partial_disagreeing_with_completed_exits_three(
-        self, capsys, tmp_path, path, value, halt, message
+        self, capsys, tmp_path, path, value, halt, messages
     ):
         # The partial report must cover the plan's first chunks, here
         # [2, 2050) after a halt or [2, 5000) when finished, under the
@@ -395,7 +397,8 @@ class TestExitCodeFidelity:
         assert code == 3
         assert out == ""
         assert "internal error" in err
-        assert message in err
+        for message in messages:
+            assert message in err
 
     def test_unopenable_checkpoint_exits_three(self, capsys, tmp_path):
         # A directory exists, so the scan tries to resume from it; opening

@@ -5,13 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gapscan.midpoint import MidpointRecord, PrimePair, compute_record
-from gapscan.primes import iter_consecutive_pairs, next_prime_above
+from gapscan.primes import next_prime_above
 
 from conftest import (
     NotConsecutiveError,
     NotPrimeError,
     count_odd_multiples,
     make_pair,
+    oracle_consecutive_pairs,
     oracle_largest_odd_multiple,
 )
 
@@ -97,7 +98,7 @@ class TestComputeRecord:
             compute_record(PrimePair(p=2, q=3, g=1, m=2, b=0))
 
     def test_matches_enumeration_exhaustively_below_1e5(self):
-        for p, q in iter_consecutive_pairs(3, 10**5):
+        for p, q in oracle_consecutive_pairs(3, 10**5):
             pair = PrimePair(p=p, q=q, g=q - p, m=(p + q) // 2, b=(q - p) // 2)
             assert compute_record(pair) == record_by_enumeration(p, q)
 

@@ -20,7 +20,6 @@ import gapscan.scan
 from gapscan.claims import check_cube_interval
 from gapscan.primes import (
     _ZEROS,
-    MAX_SIEVE_WIDTH,
     MAX_WINDOW,
     SEGMENT_WIDTH,
     UNIVERSE_LIMIT,
@@ -120,7 +119,7 @@ class TestSieveRange:
 
     def test_rejects_universe_escape(self):
         with pytest.raises(
-            ValueError, match=r"\) leaves \[0, 10\*\*16 \+ 2\*\*28\]$"
+            ValueError, match=r"\) leaves \[0, 10\*\*16 \+ 2\*\*26\]$"
         ):
             sieve_range(2**63 - 10, 2**63 + 10)
 
@@ -128,13 +127,13 @@ class TestSieveRange:
         # Near 2**63 the base primes alone outgrow the 1 GiB cap, so a
         # sieve that grew them first would die of MemoryError.
         code, err = run_capped(
-            "from gapscan.primes import MAX_SIEVE_WIDTH, SCAN_LIMIT, sieve_range\n"
-            "top = SCAN_LIMIT + MAX_SIEVE_WIDTH\n"
+            "from gapscan.primes import MAX_WINDOW, SCAN_LIMIT, sieve_range\n"
+            "top = SCAN_LIMIT + MAX_WINDOW\n"
             "for lo, hi in [(2**63 - 100, 2**63), (top - 1, top + 1)]:\n"
             "    try:\n"
             "        sieve_range(lo, hi)\n"
             "    except ValueError as exc:\n"
-            "        assert str(exc).endswith('leaves [0, 10**16 + 2**28]'), exc\n"
+            "        assert str(exc).endswith('leaves [0, 10**16 + 2**26]'), exc\n"
             "    else:\n"
             "        raise AssertionError('the range was not refused')\n"
             "import gapscan.primes\n"
@@ -145,9 +144,9 @@ class TestSieveRange:
 
     def test_rejects_oversized_allocation(self):
         with pytest.raises(
-            ValueError, match=f"exceeds {MAX_SIEVE_WIDTH}; chunk the range$"
+            ValueError, match=f"exceeds {MAX_WINDOW}; walk the range with windows$"
         ):
-            sieve_range(0, MAX_SIEVE_WIDTH + 1)
+            sieve_range(0, MAX_WINDOW + 1)
 
     @given(
         lo=st.integers(min_value=0, max_value=10**6),

@@ -10,6 +10,7 @@ import shutil
 import subprocess
 import sys
 import time
+from bisect import bisect_right
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 from gapscan.claims import PAIR_CLAIMS, ClaimId, ClaimOutcome, Status
 import gapscan.primes
 import gapscan.scan
-from gapscan.primes import SCAN_LIMIT, is_prime, iter_consecutive_pairs
+from gapscan.primes import SCAN_LIMIT, is_prime
 from gapscan.scan import (
     DEFAULT_VIOLATION_CAP,
     CheckpointState,
@@ -41,7 +42,9 @@ from gapscan.scan import (
 
 from conftest import (
     count_calls,
+    oracle_consecutive_pairs,
     oracle_gap_records,
+    oracle_prime_pi,
     oracle_primes_below,
     record_path_outcomes,
     reference_scan,
@@ -158,7 +161,7 @@ class TestScanChunk:
         lo, hi = 2, 20000
         report = full_scan(lo, hi)
         expected = {claim: [0, 0, 0] for claim in PAIR_CLAIMS}  # pass/vac/fail
-        for p, q in iter_consecutive_pairs(lo, hi):
+        for p, q in oracle_consecutive_pairs(lo, hi):
             for outcome in record_path_outcomes(p, q):
                 slot = expected[outcome.claim]
                 if outcome.status is Status.PASS:
@@ -303,6 +306,38 @@ class TestKnownAnswerAtHeight:
         assert chunked == single
         assert is_prime(p) and is_prime(p + g)
         assert not any(map(is_prime, range(p + 1, p + g)))
+
+
+class TestPrimeCount:
+    """scan_chunk's pair count against pi(x) by Lucy_Hedgehog's method,
+    which sieves nothing."""
+
+    def test_oracle_matches_a006880(self):
+        # pi(10**k) for k = 1..9 (OEIS A006880).
+        assert [oracle_prime_pi(10**k) for k in range(1, 10)] == [
+            4, 25, 168, 1229, 9592, 78498, 664579, 5761455, 50847534,
+        ]
+
+    def test_oracle_matches_the_sieve_oracle_below_10_4(self):
+        primes = oracle_primes_below(10**4)
+        assert [oracle_prime_pi(x) for x in range(10**4)] == [
+            bisect_right(primes, x) for x in range(10**4)
+        ]
+
+    @given(
+        lo=st.integers(min_value=2, max_value=10**7 - 1),
+        hi=st.integers(min_value=3, max_value=10**7),
+    )
+    @example(lo=2, hi=3)
+    @example(lo=2, hi=10**7)
+    @example(lo=10**7 - 1, hi=10**7)
+    @settings(max_examples=25, deadline=None)
+    def test_pairs_checked_counts_the_primes_owned(self, lo, hi):
+        # A pair is owned by its first prime, so [lo, hi) owns one pair for
+        # each prime in [lo, hi - 1].
+        assume(lo < hi)
+        expected = oracle_prime_pi(hi - 1) - oracle_prime_pi(lo - 1)
+        assert scan_chunk(lo, hi).pairs_checked == expected
 
 
 def logged_scan(monkeypatch, lo: int, hi: int) -> tuple[ScanReport, list[tuple]]:
