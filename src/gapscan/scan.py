@@ -19,14 +19,12 @@ its result.  `merge_reports` adds both reports to one `ChunkTally`, whose
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from math import isqrt
-from multiprocessing import get_context
 from typing import Callable, Iterable, Iterator
 
 from . import primes
@@ -57,6 +55,7 @@ def default_workers() -> int:
 
 def _sha256(value: object) -> str:
     """Hex SHA-256 of the JSON of `value` with its keys sorted."""
+    import hashlib  # only checkpoints hash, so other runs never load it
     return hashlib.sha256(json.dumps(value, sort_keys=True).encode()).hexdigest()
 
 
@@ -243,7 +242,11 @@ class ChunkTally:
     def threshold(self, p: int) -> int:
         """The t of `scan_chunk`'s lemma for a search starting at the prime
         p: min(best gap, isqrt(8p - 1)) once the last gap record lies
-        below p, else 0, so every pair is evaluated."""
+        below p, else 0, so every pair is evaluated.
+
+        8p - 1 states g**2 <= 8p - 1 < 8p directly.  isqrt(8p) would give
+        the same t: 8p is a square only if p = 2m**2, so only for p = 2,
+        where no gap record lies below p and t is 0 before that term."""
         if not self.gap_records or self.gap_records[-1].p >= p:
             return 0
         return min(self.gap_records[-1].g, isqrt(8 * p - 1))
@@ -490,7 +493,6 @@ def run_scan(
     if halt_after_chunks is not None and halt_after_chunks < 1:
         raise ValueError(f"halt_after_chunks must be >= 1, got {halt_after_chunks}")
     config.validate()
-    digest = config.digest()
 
     partial = ChunkTally(config.claims, config.violation_cap).report(
         config.start, config.start, 0
@@ -513,16 +515,21 @@ def run_scan(
              for lo in range(resume, end, step))
     total = len(range(config.start, config.stop, size))
     last_save = time.monotonic()
+    pool = nullcontext()
+    if workers > 1:
+        from multiprocessing import get_context  # only pools load it
+        pool = get_context().Pool(workers)
     # Leaving the block terminates the pool, also on an error.
-    with (get_context().Pool(workers) if workers > 1 else nullcontext()) as pool:
-        fan_out = map if pool is None else pool.imap
+    with pool:
+        fan_out = pool.imap if workers > 1 else map
         for report in fan_out(_scan_chunk_task, tasks):
             partial = merge_reports(partial, report)
             if config.checkpoint_path and (
                 report.stop == end
                 or time.monotonic() - last_save >= CHECKPOINT_INTERVAL_S
             ):
-                save_checkpoint(CheckpointState(digest, partial), config.checkpoint_path)
+                state = CheckpointState(config.digest(), partial)
+                save_checkpoint(state, config.checkpoint_path)
                 last_save = time.monotonic()
             if progress is not None:
                 done = len(range(config.start, report.stop, size))

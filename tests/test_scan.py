@@ -11,6 +11,7 @@ import subprocess
 import sys
 import time
 from bisect import bisect_right
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -29,6 +30,7 @@ from gapscan.scan import (
     ChunkTally,
     ClaimCounter,
     GapRecord,
+    RatioRecord,
     ScanConfig,
     ScanReport,
     load_checkpoint,
@@ -83,8 +85,10 @@ def pools(monkeypatch) -> list[int]:
         opened.append(workers)
         return context.Pool(workers)
 
+    # run_scan imports get_context when it opens a pool, so it reads the
+    # patched name.
     monkeypatch.setattr(
-        gapscan.scan, "get_context", lambda: SimpleNamespace(Pool=pool)
+        multiprocessing, "get_context", lambda: SimpleNamespace(Pool=pool)
     )
     return opened
 
@@ -560,6 +564,14 @@ class TestMergeReports:
         assert merged.gap_records == full_scan(2, 10**4).gap_records
         assert merged.max_ratio == full_scan(2, 10**4).max_ratio
 
+    def test_tied_ratios_keep_the_first(self):
+        # 2**3 / 3**2 == 8**3 / 24**2: the later range's ratio only ties,
+        # and a tie never beats.
+        first, tied = RatioRecord(8, 9, 3, 2), RatioRecord(512, 576, 24, 8)
+        a = replace(empty_report(2, 50), max_ratio=first)
+        b = replace(empty_report(50, 100), max_ratio=tied)
+        assert merge_reports(a, b).max_ratio == first
+
     def test_violations_past_the_cap_keep_the_first_in_p_order(self, crafted_pairs):
         # Every fed pair fails several claims; [90, 96) and [96, 97) hold
         # no prime, so each report sees its fed pairs alone.
@@ -1002,13 +1014,13 @@ class TestPool:
     def test_huge_plan_on_a_pool_runs_in_bounded_memory(self):
         code, err = run_capped(
             "import multiprocessing\n"
-            "import gapscan.scan\n"
             "from types import SimpleNamespace\n"
             "opened = []\n"
+            "context = multiprocessing.get_context()\n"
             "def pool(workers):\n"
             "    opened.append(workers)\n"
-            "    return multiprocessing.get_context().Pool(workers)\n"
-            "gapscan.scan.get_context = lambda: SimpleNamespace(Pool=pool)\n"
+            "    return context.Pool(workers)\n"
+            "multiprocessing.get_context = lambda: SimpleNamespace(Pool=pool)\n"
             + self.FIRST_TASK
             + "assert first_task(2) == (2, 2 + 2**26)\n"
             "assert opened == [2], opened\n"
@@ -1042,7 +1054,7 @@ class TestPool:
             return ChunkTally(claims, violation_cap).report(lo, hi, 0)
 
         monkeypatch.setattr(
-            gapscan.scan, "get_context", lambda: SimpleNamespace(Pool=RecordingPool)
+            multiprocessing, "get_context", lambda: SimpleNamespace(Pool=RecordingPool)
         )
         monkeypatch.setattr(gapscan.scan, "scan_chunk", unscanned)
         run_scan(config)
@@ -1107,6 +1119,52 @@ class TestPool:
             )
             orders.append(done.stdout.split())
         assert orders[0] == orders[1] == [c.value for c in PAIR_CLAIMS]
+
+
+class TestColdStart:
+    """A process loads `multiprocessing` only when run_scan opens a pool,
+    and `hashlib` only when a scan checkpoints."""
+
+    SCAN = "from gapscan.scan import ScanConfig, run_scan, scan_chunk\n"
+
+    @pytest.mark.parametrize("call, loaded", [
+        pytest.param(SCAN + "scan_chunk(2, 10**5)", set(), id="scan_chunk"),
+        pytest.param(
+            "from gapscan.claims import check_cube_interval\n"
+            "check_cube_interval(3)", set(), id="check_cube_interval",
+        ),
+        pytest.param(
+            SCAN + "run_scan(ScanConfig(2, 10**5, workers=1))", set(),
+            id="run_scan-1w",
+        ),
+        pytest.param(
+            "from gapscan.cli import run\n"
+            "assert run(['pair', '113']) == 0\n"
+            "assert run(['cubes', '--max-n', '3']) == 0", set(), id="pair-cubes",
+        ),
+        # Controls: these runs load one each, so the check is shown to see it.
+        pytest.param(
+            SCAN + "run_scan(ScanConfig(2, 10**5, workers=1, checkpoint_path=PATH))",
+            {"hashlib"}, id="run_scan-1w-checkpoint",
+        ),
+        pytest.param(
+            SCAN + "run_scan(ScanConfig(2, 10**5, chunk_size=1024, workers=2))",
+            {"multiprocessing"}, id="run_scan-pool",
+        ),
+    ])
+    def test_entry_point_loads_only_what_it_uses(self, tmp_path, call, loaded):
+        script = (
+            f"PATH = {str(tmp_path / 'scan.ckpt')!r}\n{call}\n"
+            "import sys\n"
+            "print(*(m for m in ('hashlib', 'multiprocessing') if m in sys.modules))\n"
+        )
+        src = os.path.dirname(os.path.dirname(gapscan.scan.__file__))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert set(done.stdout.splitlines()[-1].split()) == loaded
 
 
 class TestTasks:
