@@ -47,7 +47,8 @@ def from_json(tp: Any, data: Any) -> Any:
     """Rebuild a value of type `tp` from its `to_json` form.
 
     `tp` is int, an Enum, `X | None`, `list[X]`, `dict[K, V]`, or a
-    dataclass annotated with these.
+    dataclass annotated with these.  An int must be the decimal string
+    `to_json` writes: 5.7, true, " 12", "1_000" or "+3" is malformed.
     A dataclass field missing from `data` keeps its default.  Malformed data
     raises AttributeError, KeyError, OverflowError, TypeError or ValueError.
     """
@@ -65,4 +66,6 @@ def from_json(tp: Any, data: Any) -> Any:
         return [from_json(args[0], v) for v in data]
     if origin is dict:
         return {from_json(args[0], k): from_json(args[1], v) for k, v in data.items()}
+    if tp is int and (type(data) is not str or str(int(data)) != data):
+        raise ValueError(f"not a decimal int string: {data!r}")
     return tp(data)  # int or an Enum

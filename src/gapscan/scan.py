@@ -86,16 +86,6 @@ class ScanConfig:
             names = ", ".join(sorted(c.value for c in bad))
             raise ValueError(f"not a per-pair claim: {names}")
 
-    def digest(self) -> str:
-        """Hex digest over the fields that determine the report."""
-        return _sha256({
-            "start": self.start,
-            "stop": self.stop,
-            "chunk_size": self.chunk_size,
-            "claims": sorted(c.value for c in self.claims),
-            "violation_cap": self.violation_cap,
-        })
-
 
 @dataclass(frozen=True)
 class ClaimCounter:
@@ -376,21 +366,14 @@ def merge_reports(a: ScanReport, b: ScanReport) -> ScanReport:
     return tally.report(a.start, b.stop, a.elapsed_ns + b.elapsed_ns)
 
 
-@dataclass
-class CheckpointState:
-    """Resumable scan progress: the merged report of the plan's first chunks."""
-
-    config_digest: str
-    partial: ScanReport
-
-
-def save_checkpoint(state: CheckpointState, path: str) -> None:
-    partial = state.partial.to_json_dict()
+def save_checkpoint(partial: ScanReport, path: str) -> None:
+    """Write `partial`, the merged report of a scan's first chunks, to
+    `path` with its SHA-256, synced to disk before it replaces the file."""
+    data = partial.to_json_dict()
     document = {
         "version": CHECKPOINT_VERSION,
-        "config_digest": state.config_digest,
-        "partial": partial,
-        "partial_sha256": _sha256(partial),
+        "partial": data,
+        "partial_sha256": _sha256(data),
     }
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
@@ -400,14 +383,15 @@ def save_checkpoint(state: CheckpointState, path: str) -> None:
     os.replace(tmp, path)
 
 
-def load_checkpoint(path: str) -> CheckpointState:
-    """Read a checkpoint that `save_checkpoint` wrote.  A file that cannot
-    be decoded, or whose partial report no longer matches its stored hash,
-    is corrupt: a RuntimeError.  Files without the hash still load.  Another
-    version is a ValueError, and a file that cannot be opened or read an
-    OSError, both raised outside the decode guards.  Other keys, such as
-    the chunk list `completed` of older files, are ignored; `resumed_report`
-    checks the state against a scan's config."""
+def load_checkpoint(path: str) -> ScanReport:
+    """Read the partial report of a checkpoint that `save_checkpoint` wrote.
+    A file that cannot be decoded, or whose partial report no longer matches
+    its stored hash, is corrupt: a RuntimeError.  Files without the hash
+    still load.  Another version is a ValueError, and a file that cannot be
+    opened or read an OSError, both raised outside the decode guards.  Other
+    keys, such as the chunk list `completed` and the `config_digest` of
+    older files, are ignored; `resumed_report` checks the report against a
+    scan's config."""
     try:
         with open(path, encoding="utf-8") as fh:
             document = json.load(fh)
@@ -429,27 +413,28 @@ def load_checkpoint(path: str) -> CheckpointState:
             raise RuntimeError(
                 f"checkpoint {path}: partial report does not match its SHA-256"
             )
-        return CheckpointState(str(document["config_digest"]), partial)
+        return partial
     except malformed as exc:
         raise RuntimeError(f"malformed checkpoint {path}: {exc}") from exc
 
 
-def resumed_report(state: CheckpointState, config: ScanConfig) -> ScanReport:
-    """The partial report a scan of `config` resumes from.  The state must
-    come from a scan of `config` (else ValueError), and its report must
-    cover [start, b), b a chunk boundary inside the range or stop itself,
-    under the config's violation cap and claim set (else RuntimeError)."""
-    if state.config_digest != config.digest():
-        raise ValueError(
-            "checkpoint was written by a different scan configuration"
-        )
-    partial = state.partial
+def resumed_report(partial: ScanReport, config: ScanConfig) -> ScanReport:
+    """`partial` as the report a scan of `config` resumes from: it must
+    cover [start, b) under the config's claim set and violation cap, b
+    being stop or a chunk boundary inside the range, else it is another
+    scan's checkpoint (ValueError).
+
+    No other check is needed.  `merge_reports` joins [start, b) and
+    [b, stop) under one claim set and cap into the report of [start, stop)
+    whatever b is (`TestMergeReports` pins this), and a report has no
+    chunk-size field, so a prefix written under another stop, chunk size
+    or worker count resumes to the uninterrupted report."""
     inner = range(config.start + config.chunk_size, config.stop, config.chunk_size)
     if (partial.start, partial.violation_cap, frozenset(partial.per_claim)) != (
         config.start, config.violation_cap, frozenset(config.claims)
     ) or partial.stop != config.stop and partial.stop not in inner:
         claims = ", ".join(sorted(c.value for c in partial.per_claim))
-        raise RuntimeError(
+        raise ValueError(
             f"checkpoint report over [{partial.start}, {partial.stop}) with "
             f"violation cap {partial.violation_cap} and claims "
             f"{claims or 'none'} is no prefix of this scan"
@@ -528,8 +513,7 @@ def run_scan(
                 report.stop == end
                 or time.monotonic() - last_save >= CHECKPOINT_INTERVAL_S
             ):
-                state = CheckpointState(config.digest(), partial)
-                save_checkpoint(state, config.checkpoint_path)
+                save_checkpoint(partial, config.checkpoint_path)
                 last_save = time.monotonic()
             if progress is not None:
                 done = len(range(config.start, report.stop, size))

@@ -8,7 +8,7 @@ from dataclasses import replace
 import pytest
 
 import gapscan.cli
-from gapscan.claims import ClaimId, Status
+from gapscan.claims import PAIR_CLAIMS, ClaimId, Status
 from gapscan.cli import RECORD_COLUMNS, run
 from gapscan.scan import ScanConfig, ScanReport, run_scan
 
@@ -360,28 +360,30 @@ class TestExitCodeFidelity:
         assert "internal error: unreadable checkpoint" in err
 
     @pytest.mark.parametrize(
-        "path, value, halt, messages",
+        "path, value, halt, code, messages",
         [
-            (("partial",), None, 2, ["malformed checkpoint"]),
-            (("partial", "range", 0), "3", 2, ["no prefix"]),
-            (("partial", "range", 1), "2000", 2, ["no prefix"]),
-            (("partial", "violation_cap"), "5", 2, ["no prefix"]),
-            (("partial", "violation_cap"), "5", None, ["no prefix"]),
-            (("partial", "per_claim", "LEMMA_SQRT"), DELETE, 2,
+            (("partial",), None, 2, 3, ["internal error: malformed checkpoint"]),
+            (("partial", "range", 0), "3", 2, 2, ["no prefix"]),
+            (("partial", "range", 1), "2000", 2, 2, ["no prefix"]),
+            (("partial", "violation_cap"), "5", 2, 2, ["no prefix"]),
+            (("partial", "violation_cap"), "5", None, 2, ["no prefix"]),
+            (("partial", "per_claim", "LEMMA_SQRT"), DELETE, 2, 2,
              ["LEMMA_ORDER", "no prefix"]),
-            (("partial", "per_claim", "LEMMA_SQRT"), DELETE, None,
+            (("partial", "per_claim", "LEMMA_SQRT"), DELETE, None, 2,
              ["LEMMA_ORDER", "no prefix"]),
         ],
         ids=["partial-None", "start-moved", "stop-off-grid", "cap-halted",
              "cap-finished", "claims-dropped-halted", "claims-dropped-finished"],
     )
-    def test_partial_disagreeing_with_completed_exits_three(
-        self, capsys, tmp_path, path, value, halt, messages
+    def test_hashless_partial_edits_are_refused(
+        self, capsys, tmp_path, path, value, halt, code, messages
     ):
         # The partial report must cover the plan's first chunks, here
         # [2, 2050) after a halt or [2, 5000) when finished, under the
-        # scan's violation cap and claim set.  Without its hash, as in files
-        # written before the hash was stored, an edit reaches that check.
+        # scan's violation cap and claim set: else it is another scan's
+        # checkpoint (exit 2).  A partial report that does not decode is
+        # corrupt (exit 3).  Without its hash, as in files written before
+        # the hash was stored, an edit reaches these checks.
         ckpt = write_checkpoint(tmp_path, halt)
         document = json.loads(ckpt.read_text())
         del document["partial_sha256"]
@@ -393,12 +395,39 @@ class TestExitCodeFidelity:
         else:
             node[path[-1]] = value
         ckpt.write_text(json.dumps(document))
-        code, out, err = invoke(capsys, *resume_args(ckpt))
-        assert code == 3
+        got, out, err = invoke(capsys, *resume_args(ckpt))
+        assert got == code
         assert out == ""
-        assert "internal error" in err
+        if code == 2:
+            assert err.startswith("error: checkpoint report over ")
         for message in messages:
             assert message in err
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--from", "3"),
+            ("--claims", "LEMMA_SQRT"),
+            ("--violation-cap", "5"),
+            ("--to", "2000"),
+            # 2050 - 2 = 2048 is no multiple of 1500.
+            ("--chunk-size", "1500"),
+        ],
+    )
+    def test_checkpoint_of_another_scan_exits_two(
+        self, capsys, tmp_path, flag, value
+    ):
+        # The halt leaves the report of [2, 2050), no prefix of this scan.
+        # The last value of a flag given twice wins.
+        ckpt = write_checkpoint(tmp_path, halt=2)
+        code, out, err = invoke(capsys, *resume_args(ckpt), flag, value)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: checkpoint report over [2, 2050) with violation cap 100 "
+            f"and claims {', '.join(sorted(c.value for c in PAIR_CLAIMS))} "
+            "is no prefix of this scan\n"
+        )
 
     def test_unopenable_checkpoint_exits_three(self, capsys, tmp_path):
         # A directory exists, so the scan tries to resume from it; opening

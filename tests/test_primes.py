@@ -523,13 +523,16 @@ def readme_tour() -> str:
 
 class TestTracedNames:
     def test_names_the_benchmark_tracer_wraps(self):
-        # perfbench/tracing.py wraps these four by name, and counts hi - lo
+        # perfbench/tracing.py wraps these by name, and counts hi - lo
         # numbers per sieve_range call.
         for module, name in [
             (gapscan.primes, "sieve_range"),
             (gapscan.claims, "sieve_range"),
             (gapscan.primes, "next_prime_above"),
             (gapscan.scan, "iter_consecutive_pairs"),
+            (gapscan.scan, "merge_reports"),
+            (gapscan.scan, "save_checkpoint"),
+            (gapscan.scan, "load_checkpoint"),
         ]:
             assert callable(getattr(module, name)), f"{module.__name__}.{name}"
         params = inspect.signature(gapscan.primes.sieve_range).parameters.values()
@@ -545,6 +548,31 @@ class TestTracedNames:
             assert hasattr(gapscan, name), f"gapscan.{name}"
         for module in ("primes", "claims", "scan"):
             assert hasattr(gapscan, module), f"gapscan.{module}"
+
+    def test_checkpointed_scans_call_the_traced_names(self, monkeypatch, tmp_path):
+        # perfbench/tracing.py sets wrappers on gapscan.scan, so run_scan must
+        # look these up there, and its save wrapper takes (partial, path).
+        calls = []
+        for name in ("merge_reports", "save_checkpoint", "load_checkpoint"):
+            def passthrough(*args, _name=name, _call=getattr(gapscan.scan, name),
+                            **kwargs):
+                calls.append((_name, args, kwargs))
+                return _call(*args, **kwargs)
+
+            monkeypatch.setattr(gapscan.scan, name, passthrough)
+        path = str(tmp_path / "scan.ckpt")
+        config = gapscan.ScanConfig(2, 5000, chunk_size=1024, workers=1,
+                                    checkpoint_path=path)
+        gapscan.run_scan(config, halt_after_chunks=1)
+        gapscan.run_scan(config)
+        saves = [(args, kwargs) for name, args, kwargs in calls
+                 if name == "save_checkpoint"]
+        assert len(saves) == 2
+        for args, kwargs in saves:
+            assert (len(args), args[1], kwargs) == (2, path, {})
+        loads = [args for name, args, _ in calls if name == "load_checkpoint"]
+        assert loads == [(path,)]
+        assert any(name == "merge_reports" for name, _, _ in calls)
 
     def test_names_the_readme_tour_imports(self):
         tour = re.search(r"from gapscan import \(([^)]*)\)", readme_tour())

@@ -26,7 +26,6 @@ import gapscan.scan
 from gapscan.primes import SCAN_LIMIT, is_prime
 from gapscan.scan import (
     DEFAULT_VIOLATION_CAP,
-    CheckpointState,
     ChunkTally,
     ClaimCounter,
     GapRecord,
@@ -277,20 +276,25 @@ class TestReferenceEquality:
     @example(fed=[(9, 13)], lo=7, width=5)
     # Two pairs with the same g**3 / p**2: the first one stays.
     @example(fed=[(3, 5), (81, 99)], lo=90, width=6)
+    # q = 0: the record's midpoint divides by 2q.
+    @example(fed=[(122, 0)], lo=2, width=1)
     @settings(
         max_examples=60,
         deadline=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     def test_crafted_pairs_fed_first(self, crafted_pairs, fed, lo, width):
-        # Even p breaks the identities, so both sides may abort instead.
+        # Even p breaks the identities and q = 0 divides by zero, so both
+        # sides may abort instead, with the same error.
         crafted_pairs(*fed)
         try:
             expected = reference_scan(lo, lo + width, fed=fed)
-        except RuntimeError as exc:
-            assert str(exc).startswith("identity failed at pair (")
-            with pytest.raises(RuntimeError, match=f"^{re.escape(str(exc))}$"):
+        except (RuntimeError, ZeroDivisionError) as exc:
+            if isinstance(exc, RuntimeError):
+                assert str(exc).startswith("identity failed at pair (")
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$") as got:
                 full_scan(lo, lo + width)
+            assert type(got.value) is type(exc)
         else:
             assert full_scan(lo, lo + width) == expected
 
@@ -701,7 +705,6 @@ def valid_checkpoint() -> dict:
     partial.c_histogram[1] = 1
     return {
         "version": 1,
-        "config_digest": "digest",
         "partial": partial.to_json_dict(),
     }
 
@@ -761,7 +764,7 @@ class TestCheckpoint:
     )
     def test_any_other_stored_hash_is_rejected(self, tmp_path, value):
         path = tmp_path / "scan.ckpt"
-        save_checkpoint(CheckpointState("x", full_scan(2, 1024)), str(path))
+        save_checkpoint(full_scan(2, 1024), str(path))
         document = json.loads(path.read_text())
         assume(value != document["partial_sha256"])
         document["partial_sha256"] = value
@@ -769,15 +772,30 @@ class TestCheckpoint:
         with pytest.raises(RuntimeError, match="does not match its SHA-256$"):
             load_checkpoint(str(path))
 
+    @pytest.mark.parametrize(
+        "value", [5.7, True, " 12", "1_000", "+3", "\u0663"],
+        ids=["float", "bool", "space", "underscore", "plus", "arabic-indic"],
+    )
+    def test_only_decimal_int_strings_load(self, tmp_path, value):
+        # The hash is recomputed, so the codec's int decoding is what
+        # refuses the file.
+        document = json.loads(json.dumps(valid_checkpoint()))
+        document["partial"]["pairs_checked"] = value
+        document["partial_sha256"] = hashlib.sha256(
+            json.dumps(document["partial"], sort_keys=True).encode()
+        ).hexdigest()
+        path = tmp_path / "scan.ckpt"
+        path.write_text(json.dumps(document))
+        with pytest.raises(RuntimeError, match=(
+            "^malformed checkpoint .*: not a decimal int string: "
+        )):
+            load_checkpoint(str(path))
+
     def test_save_load_round_trip(self, tmp_path):
         path = str(tmp_path / "scan.ckpt")
-        config = ScanConfig(start=2, stop=5000, chunk_size=1 << 10)
         partial = full_scan(2, 1024)
-        state = CheckpointState(config.digest(), partial)
-        save_checkpoint(state, path)
-        loaded = load_checkpoint(path)
-        assert loaded.config_digest == config.digest()
-        assert loaded.partial == partial
+        save_checkpoint(partial, path)
+        assert load_checkpoint(path) == partial
 
     def test_on_disk_schema(self, tmp_path):
         path = str(tmp_path / "scan.ckpt")
@@ -790,9 +808,7 @@ class TestCheckpoint:
         run_scan(config)
         with open(path) as fh:
             document = json.load(fh)
-        assert set(document) == {
-            "version", "config_digest", "partial", "partial_sha256"
-        }
+        assert set(document) == {"version", "partial", "partial_sha256"}
         assert document["version"] == 1
         assert document["partial_sha256"] == hashlib.sha256(
             json.dumps(document["partial"], sort_keys=True).encode()
@@ -816,7 +832,7 @@ class TestCheckpoint:
         # The three chunks left lie in one rule window: one task.
         assert seen == [(5, 5, (2050, 5000))]
         assert set(json.loads(path.read_text())) == {
-            "version", "config_digest", "partial", "partial_sha256"
+            "version", "partial", "partial_sha256"
         }
 
     def test_corrupt_file_detected(self, tmp_path):
@@ -837,16 +853,91 @@ class TestCheckpoint:
             load_checkpoint(str(path))
 
     def test_config_mismatch_rejected_on_resume(self, tmp_path):
+        # The halt leaves [2, 1026), which is no prefix of a scan from
+        # another start, of other claims or cap, or ending before 1026, nor
+        # of one whose chunk grid misses 1026.
         path = str(tmp_path / "scan.ckpt")
         config = ScanConfig(start=2, stop=5000, chunk_size=1 << 10,
                             checkpoint_path=path, workers=1)
         run_scan(config, halt_after_chunks=1)
-        other = ScanConfig(start=2, stop=6000, chunk_size=1 << 10,
-                           checkpoint_path=path, workers=1)
-        with pytest.raises(ValueError, match=(
-            "^checkpoint was written by a different scan configuration$"
-        )):
-            run_scan(other)
+        for changes in [
+            {"start": 3},
+            {"claims": frozenset({ClaimId.LEMMA_SQRT})},
+            {"violation_cap": 5},
+            {"stop": 1025},
+            {"chunk_size": 1500},
+        ]:
+            with pytest.raises(ValueError, match=(
+                r"^checkpoint report over \[2, 1026\) with violation cap 100 "
+                r"and claims .* is no prefix of this scan$"
+            )):
+                run_scan(replace(config, **changes))
+
+    def test_halt_resumes_under_another_stop_and_grid(self, tmp_path):
+        # [2, 2050) is a prefix of [2, 6000) in chunks of 1024 or 2048.
+        path = str(tmp_path / "scan.ckpt")
+        config = ScanConfig(start=2, stop=5000, chunk_size=1 << 10,
+                            checkpoint_path=path, workers=1)
+        for chunk_size in (1 << 10, 1 << 11):
+            run_scan(config, halt_after_chunks=2)
+            other = replace(config, stop=6000, chunk_size=chunk_size)
+            assert run_scan(other) == run_scan(replace(other, checkpoint_path=None))
+            os.remove(path)
+
+    @given(data=st.data())
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_resume_equals_the_uninterrupted_scan_or_is_refused(
+        self, tmp_path, data
+    ):
+        # A halted (or finished) scan of [start, b), resumed under a drawn
+        # config: equal to that config's uninterrupted scan exactly when the
+        # report is a prefix of it, else refused.
+        claim_sets = [frozenset(PAIR_CLAIMS), frozenset({ClaimId.LEMMA_SQRT})]
+        start = data.draw(st.integers(2, 3000), "start")
+        chunk = data.draw(st.integers(1024, 3072), "chunk")
+        chunks = data.draw(st.integers(2, 5), "chunks")
+        stop = start + chunks * chunk - data.draw(st.integers(0, chunk - 1))
+        claims = data.draw(st.sampled_from(claim_sets), "claims")
+        cap = data.draw(st.sampled_from([0, 1, 100]), "cap")
+        path = tmp_path / "scan.ckpt"
+        halted = ScanConfig(start, stop, chunk_size=chunk, workers=1,
+                            claims=claims, violation_cap=cap,
+                            checkpoint_path=str(path))
+        # Each example starts without a checkpoint, also after a failed one.
+        path.unlink(missing_ok=True)
+        b = run_scan(halted, halt_after_chunks=data.draw(st.integers(1, chunks))).stop
+
+        r_start, r_claims, r_cap = data.draw(
+            st.just((start, claims, cap))
+            | st.tuples(st.integers(2, 3000), st.sampled_from(claim_sets),
+                        st.sampled_from([0, 1, 100])),
+            "r_start, r_claims, r_cap",
+        )
+        r_chunk = data.draw(
+            st.just(chunk)
+            | st.integers(1, 3).map(lambda k: max(1024, (b - r_start) // k))
+            | st.integers(1024, 4096),
+            "r_chunk",
+        )
+        r_stop = data.draw(
+            st.just(b) | st.just(stop) | st.integers(r_start + 1, 20_000), "r_stop"
+        )
+        assume(r_start < r_stop)
+        resumed = ScanConfig(r_start, r_stop, chunk_size=r_chunk, workers=1,
+                             claims=r_claims, violation_cap=r_cap)
+        prefix = (start, claims, cap) == (r_start, r_claims, r_cap) and (
+            b == r_stop or r_start < b < r_stop and (b - r_start) % r_chunk == 0
+        )
+        if prefix:
+            expected = run_scan(resumed)
+            assert run_scan(replace(resumed, checkpoint_path=str(path))) == expected
+        else:
+            with pytest.raises(ValueError, match="no prefix"):
+                run_scan(replace(resumed, checkpoint_path=str(path)))
 
     def test_interrupt_and_resume_reproduces_report(self, tmp_path):
         path = str(tmp_path / "scan.ckpt")
@@ -903,9 +994,9 @@ class TestCheckpoint:
             now += step
             return scan_chunk_(*args)
 
-        def counted_save(state, path):
-            saved.append((state.partial.stop - 2) // 2**20)
-            save_checkpoint_(state, path)
+        def counted_save(partial, path):
+            saved.append((partial.stop - 2) // 2**20)
+            save_checkpoint_(partial, path)
 
         clock = SimpleNamespace(
             monotonic=lambda: now, perf_counter_ns=time.perf_counter_ns
@@ -918,7 +1009,7 @@ class TestCheckpoint:
                             checkpoint_path=path, workers=1)
         report = run_scan(config, halt_after_chunks=halt)
         assert saved == saved_at
-        assert load_checkpoint(path).partial == report
+        assert load_checkpoint(path) == report
 
     def test_save_syncs_before_replace(self, tmp_path, monkeypatch):
         calls = []
@@ -936,14 +1027,18 @@ class TestCheckpoint:
         monkeypatch.setattr(os, "replace", logged_replace)
         path = str(tmp_path / "scan.ckpt")
         partial = full_scan(2, 1024)
-        save_checkpoint(CheckpointState("x", partial), path)
+        save_checkpoint(partial, path)
         assert calls == ["fsync", "replace"]
-        assert load_checkpoint(path).partial == partial
+        assert load_checkpoint(path) == partial
 
-    def test_workers_do_not_change_digest(self):
-        base = ScanConfig(start=2, stop=5000, workers=1)
-        assert base.digest() == ScanConfig(start=2, stop=5000, workers=7).digest()
-        assert base.digest() != ScanConfig(start=2, stop=5001, workers=1).digest()
+    def test_halt_on_one_worker_resumes_on_two(self, tmp_path, pools):
+        path = str(tmp_path / "scan.ckpt")
+        config = ScanConfig(start=2, stop=5000, chunk_size=1 << 10,
+                            checkpoint_path=path, workers=1)
+        run_scan(config, halt_after_chunks=1)
+        resumed = run_scan(replace(config, workers=2))
+        assert pools == [2]
+        assert resumed == run_scan(replace(config, checkpoint_path=None))
 
 
 class TestPool:
@@ -963,9 +1058,9 @@ class TestPool:
 
         partial = run_scan(config, progress, halt_after_chunks=5)
         assert multiprocessing.active_children() == []
-        state = load_checkpoint(path)
-        assert state.partial.stop == plan[4][1]
-        assert state.partial == partial
+        saved = load_checkpoint(path)
+        assert saved.stop == plan[4][1]
+        assert saved == partial
         prefix = ScanConfig(start=2, stop=plan[4][1], chunk_size=1 << 18, workers=1)
         assert partial == run_scan(prefix)
 
@@ -1198,7 +1293,7 @@ class TestTasks:
         halt = 2 + 37 * chunk
         partial = run_scan(config, halt_after_chunks=37)
         assert (partial.start, partial.stop) == (2, halt)
-        assert load_checkpoint(path).partial == partial
+        assert load_checkpoint(path) == partial
         assert partial == scan_chunk(2, halt)
 
         # 37 chunks is off the grid of 16-chunk tasks, and the resume's
